@@ -1,6 +1,6 @@
 """One command for the whole benchmark: end-to-end metrics and per-layer tables.
 
-    python3 perfbench/report.py --seed 1 [--seconds 20] [--workloads h264-encode,...]
+    python3 perfbench/report.py --seed 1 [--seconds 15] [--workloads h264-encode,...]
 
 Runs ``perfbench/run.py`` once with ``--trace 0`` and once with
 ``--trace 1`` per workload, each in its own process, one after another, and
@@ -53,8 +53,7 @@ def layer_table(metrics: dict) -> str:
     lines.append("  " + ", ".join(
         f"{name} {fmt(value[name])}" for name in (
             "me.search.cost_calls_per_search", "me.subpel.interp_calls_per_refine",
-            "bitstream.calls_per_kbit", "trace.overhead", "trace.overhead_net",
-            "trace.call_cost_us")))
+            "bitstream.calls_per_kbit", "trace.overhead", "fps_wall")))
     return "\n".join(lines)
 
 

@@ -1,10 +1,11 @@
 """Run one codec-core benchmark workload and print its result as JSON.
 
-    python3 perfbench/run.py --workload h264-encode --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload h264-encode --seed 1 --seconds 15 --trace 0
 
-Single process, single thread, closed loop: each encode or decode starts
-when the previous one has finished.  ``--trace 0`` measures the
-end-to-end metrics with nothing wrapped; ``--trace 1`` alternates untraced
+Single thread, closed loop: each encode or decode starts when the previous
+one has finished, all in one process.  ``--trace 0`` measures the
+end-to-end metrics with nothing wrapped (``setup_s`` from fresh processes
+that only set up, see :func:`setup_times`); ``--trace 1`` alternates untraced
 and traced passes over the workload's operations and reports per-layer
 metrics from the traced ones (see ``perfbench/tracer.py``).  Progress goes
 to stderr; the last line of stdout is the result object.
@@ -18,10 +19,12 @@ _STARTED = time.perf_counter()
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
+import gc  # noqa: E402
 import json  # noqa: E402
 import resource  # noqa: E402
 import signal  # noqa: E402
 import statistics  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import traceback  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -31,8 +34,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 import perfbench  # noqa: E402
 
-#: Set-ups per timed run; ``setup_s`` is their median.
-SETUP_REPEATS = 3
+#: Fresh processes set up per timed run; ``setup_s`` is the median of their
+#: set-up times.  Each is a process's first set-up, so import-time work such
+#: as the codecs' VLC table builds counts in every sample.
+SETUP_PROCESSES = 5
 #: Minimum repetitions of every operation in a timed run.
 MIN_PASSES = 3
 
@@ -85,8 +90,7 @@ def per_layer_units() -> Dict[str, str]:
     units["me.subpel.interp_calls_per_refine"] = "calls/refine"
     units["bitstream.calls_per_kbit"] = "calls/kbit"
     units["trace.overhead"] = "ratio"
-    units["trace.overhead_net"] = "ratio"
-    units["trace.call_cost_us"] = "us"
+    units["fps_wall"] = "frames/s"
     return units
 
 
@@ -99,6 +103,12 @@ def reference_loop(iterations: int = REFERENCE_ITERATIONS) -> float:
 
     It resembles a codec's per-block work and touches no ``repro`` code, so
     its time tracks how fast the machine runs right now and nothing else.
+    The garbage collector is off while it runs, so a collection the
+    program's allocations have made due is not timed as machine speed.  A
+    quarter as many iterations run untimed first: a timer signal that
+    arrives during a collection is handled right after it, on caches the
+    collection has just emptied, and without the warm-up an allocation-heavy
+    program slows its own samples and hides part of its cost.
     """
     import numpy as np
 
@@ -106,18 +116,25 @@ def reference_loop(iterations: int = REFERENCE_ITERATIONS) -> float:
     b = a[::-1].copy()
     table: Dict[int, int] = {}
     acc = 0
-    start = time.perf_counter()
-    for i in range(iterations):
-        k = i & 7
-        acc += int(np.abs(a[k:k + 8, 0:8] - b[0:8, 0:8]).sum())
-        acc = (acc * 31 + i) & 0xFFFF
-        table[i & 15] = acc
-        acc ^= table.get((i + 1) & 15, 0) >> 1
-    return time.perf_counter() - start
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for count in (max(1, iterations // 4), iterations):   # warm-up, then timed
+            start = time.perf_counter()
+            for i in range(count):
+                k = i & 7
+                acc += int(np.abs(a[k:k + 8, 0:8] - b[0:8, 0:8]).sum())
+                acc = (acc * 31 + i) & 0xFFFF
+                table[i & 15] = acc
+                acc ^= table.get((i + 1) & 15, 0) >> 1
+        return time.perf_counter() - start
+    finally:
+        if collecting:
+            gc.enable()
 
 
 class SpeedProbe:
-    """Times the reference loop around and during timed work.
+    """Scales timed blocks to a nominal machine speed.
 
     The machine this runs on is shared: its speed changes by up to 2x
     within a second.  The reference loop runs before and after each timed
@@ -256,27 +273,28 @@ def timed_run(operations, seconds: float, check) -> Dict:
 
 # -- traced run --------------------------------------------------------------
 
-def _snapshot(tracer, wall: float) -> Dict:
+def _snapshot(tracer, wall: float, call_cost) -> Dict:
     return {
         "wall": wall,
+        "call_cost": call_cost,
         "self_s": list(tracer.self_s),
         "spans": list(tracer.spans),
         "reentries": list(tracer.reentries),
-        "opened": list(tracer.opened),
+        "outgoing": list(tracer.outgoing),
         "kernel_calls": list(tracer.kernel_calls),
         "kernel_s": list(tracer.kernel_s),
-        "kernel_callers": list(tracer.kernel_callers),
+        "subpel_kernel_calls": list(tracer.subpel_kernel_calls),
         "callable_calls": list(tracer.callable_calls),
     }
 
 
-_COUNT_KEYS = ("spans", "reentries", "opened", "kernel_calls", "kernel_callers", "callable_calls")
+_COUNT_KEYS = ("spans", "reentries", "outgoing", "kernel_calls", "subpel_kernel_calls",
+               "callable_calls")
 
 
 def traced_run(operations, seconds: float, check) -> Dict:
     from perfbench.tracer import LayerTracer, calibrate, layer_targets
 
-    costs = calibrate()
     targets = layer_targets()
     untraced_walls: List[float] = []
     snapshots: List[Dict] = []
@@ -291,6 +309,8 @@ def traced_run(operations, seconds: float, check) -> Dict:
             failed += not ok
             wall += elapsed
         untraced_walls.append(wall)
+        # Calibrated next to the pass it corrects: the machine's speed drifts.
+        call_cost = calibrate()
         tracer = LayerTracer()
         tracer.install(targets)
         outputs = []
@@ -301,7 +321,7 @@ def traced_run(operations, seconds: float, check) -> Dict:
         finally:
             tracer.uninstall()
         failed += sum(not ok for ok, _, _ in outputs)
-        snapshots.append(_snapshot(tracer, sum(elapsed for _, elapsed, _ in outputs)))
+        snapshots.append(_snapshot(tracer, sum(elapsed for _, elapsed, _ in outputs), call_cost))
     attempted += len(operations)
     failed += finish_checks(operations, check)
     repeat = all(snapshot[key] == snapshots[0][key]
@@ -312,37 +332,38 @@ def traced_run(operations, seconds: float, check) -> Dict:
     return {
         "attempted": attempted,
         "failed": failed + (not repeat),
-        "metrics": layer_metrics(tracer, snapshots, untraced_walls, costs, operations),
+        "metrics": layer_metrics(tracer, snapshots, untraced_walls, operations),
     }
 
 
-def layer_metrics(tracer, snapshots, untraced_walls, costs, operations) -> Dict:
-    from perfbench.tracer import CONTROL, LAYERS, LAYER_MODULES
+def layer_metrics(tracer, snapshots, untraced_walls, operations) -> Dict:
+    """Per-layer metrics, as medians over the traced passes.
+
+    A layer's net self time takes out the callee part of the tracer's own
+    cost (a :class:`~perfbench.tracer.CallCost`, calibrated for each pass)
+    for each call into it, and the caller part for each call it made into
+    another layer.
+    """
+    from perfbench.tracer import CONTROL, LAYERS
     from perfbench.workloads import coded_kbits
 
     units = per_layer_units()
     first = snapshots[0]
     wall = statistics.median([snapshot["wall"] for snapshot in snapshots])
-    layers = len(LAYERS)
     values: Dict[str, float] = {}
-    wrapper_s = 0.0
     for index, layer in enumerate(LAYERS):
         self_s = statistics.median([snapshot["self_s"][index] for snapshot in snapshots])
-        spans, reentries = first["spans"][index], first["reentries"][index]
-        kernel_children = sum(first["kernel_callers"][index::layers])
+        calls = first["spans"][index] + first["reentries"][index]
         if layer == CONTROL:
-            spans -= len(operations)    # operation roots are not wrapped calls
-        per_span = costs["span_in"] if layer in LAYER_MODULES or layer == CONTROL \
-            else costs["kernel_in"]
-        cost = (spans * per_span + reentries * costs["reentry"]
-                + first["opened"][index] * costs["span_out"]
-                + kernel_children * costs["kernel_out"])
-        wrapper_s += cost
+            calls -= len(operations)    # operation roots are not wrapped calls
         values[f"{layer}.self_s"] = self_s
-        values[f"{layer}.self_s_net"] = self_s - cost
+        values[f"{layer}.self_s_net"] = statistics.median(
+            snapshot["self_s"][index] - calls * snapshot["call_cost"].callee
+            - first["outgoing"][index] * snapshot["call_cost"].caller
+            for snapshot in snapshots)
         values[f"{layer}.share"] = self_s / wall
         if layer != CONTROL:
-            values[f"{layer}.calls"] = spans + reentries
+            values[f"{layer}.calls"] = calls
     for kernel in KERNEL_METRICS:
         index = tracer.kernel_names.index(kernel)
         calls = first["kernel_calls"][index]
@@ -354,10 +375,8 @@ def layer_metrics(tracer, snapshots, untraced_walls, costs, operations) -> Dict:
         return numerator / denominator if denominator else 0.0
 
     calls = dict(zip(tracer.callable_names, first["callable_calls"]))
-    interp = sum(
-        first["kernel_callers"][tracer.kernel_names.index(kernel) * layers
-                                + LAYERS.index("me.subpel")]
-        for kernel in INTERP_KERNELS)
+    interp = sum(first["subpel_kernel_calls"][tracer.kernel_names.index(kernel)]
+                 for kernel in INTERP_KERNELS)
     values["me.search.cost_calls_per_search"] = ratio(
         calls.get("repro.me.cost.MotionCost.evaluate", 0),
         calls.get("repro.me.search.run_search", 0))
@@ -367,9 +386,32 @@ def layer_metrics(tracer, snapshots, untraced_walls, costs, operations) -> Dict:
         values["bitstream.calls"], coded_kbits(operations))
     untraced = statistics.median(untraced_walls)
     values["trace.overhead"] = wall / untraced
-    values["trace.overhead_net"] = (wall - wrapper_s) / untraced
-    values["trace.call_cost_us"] = 1e6 * (costs["span_in"] + costs["span_out"])
+    values["fps_wall"] = sum(op.frames for op in operations) / untraced
     return {name: _metric(values[name], unit) for name, unit in units.items()}
+
+
+# -- set-up ------------------------------------------------------------------
+
+def setup_times(args: argparse.Namespace) -> List[Tuple[float, float]]:
+    """(wall, nominal) set-up seconds of SETUP_PROCESSES fresh processes.
+
+    The processes run one after another.  Each imports the program, prepares
+    the workload's inputs and builds its codecs -- all a timed run does
+    before its first operation -- and reports the seconds from its start to
+    there, and then the time of one reference loop, which scales its
+    set-up time to the nominal machine speed.  The decode inputs are cached
+    by then: encoding them is paid once per seed and program, not by every
+    run.
+    """
+    command = [sys.executable, str(Path(__file__).resolve()), "--workload", args.workload,
+               "--seed", str(args.seed), "--seconds", "0", "--setup-only"]
+    times = []
+    for _ in range(SETUP_PROCESSES):
+        child = subprocess.run(command, stdout=subprocess.PIPE, text=True,
+                               check=True, timeout=60)
+        wall, reference_s = map(float, child.stdout.strip().splitlines()[-1].split())
+        times.append((wall, wall * REFERENCE_NOMINAL_S / reference_s))
+    return times
 
 
 # -- entry point -------------------------------------------------------------
@@ -380,56 +422,56 @@ def parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--setup-only", action="store_true",
+                        help="set up, print the seconds since process start and one "
+                             "reference loop's seconds, and exit (one setup_s sample)")
     return parser.parse_args(argv)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parse_args(argv)
-    # Set-up is imports plus input preparation.  Imports happen once per
-    # process, under a probe; each of the SETUP_REPEATS preparations gets its
-    # own, and ``setup_s`` is the median of the nominal set-up times.
-    started = time.perf_counter()
-    probe = SpeedProbe()
-    probe_s = time.perf_counter() - started
     try:
-        with probe:
-            perfbench.use_source_tree()
-            from perfbench.workloads import (
-                WORKLOADS, DigestCheck, kbps, mean_psnr_y, pinned_digests, prepare)
+        perfbench.use_source_tree()
+        from perfbench.workloads import (
+            WORKLOADS, DigestCheck, kbps, mean_psnr_y, pinned_digests, prepare)
     except perfbench.MissingProgram as error:
         log(str(error))
         return 2
-    import_s = time.perf_counter() - _STARTED - probe_s - probe.cost_s
-    import_nominal = probe.nominal(import_s)
     workload = WORKLOADS.get(args.workload)
     if workload is None:
         log(f"unknown workload {args.workload!r} (known: {', '.join(WORKLOADS)})")
         return 2
+    start = time.perf_counter()
+    operations = prepare(workload, args.seed, log)
+    if args.setup_only:
+        print(time.perf_counter() - _STARTED, reference_loop())
+        return 0
     check = DigestCheck(pinned_digests(workload.name, args.seed))
-    setups, wall = [], []
-    for _ in range(1 if args.trace else SETUP_REPEATS):
-        with probe:
-            start = time.perf_counter()
-            operations = prepare(workload, args.seed, log)
-            elapsed = time.perf_counter() - start - probe.cost_s
-        wall.append(import_s + elapsed)
-        setups.append(import_nominal + probe.nominal(elapsed))
-    log(f"{workload.name} seed {args.seed}: wall-clock set-up "
-        f"{', '.join(f'{s:.3f}' for s in wall)} s "
+    log(f"{workload.name} seed {args.seed}: inputs prepared in "
+        f"{time.perf_counter() - start:.3f} s "
         f"({'pinned' if check.pinned else 'unpinned'} digests)")
 
     if args.trace:
         result = traced_run(operations, args.seconds, check)
         metrics = result["metrics"]
     else:
+        setups = setup_times(args)
+        log("wall-clock set-up " + ", ".join(f"{wall:.3f}" for wall, _ in setups) + " s")
         result = timed_run(operations, args.seconds, check)
         attempted, failed = result["attempted"], result["failed"]
+        # Quality and bitrate come from the outputs that were produced; a
+        # failed operation shows in success_rate.
+        decoded = [op for op in operations if op.decoded is not None]
+        coded = [op for op in operations if op.stream is not None]
+        if not decoded or not coded:
+            log("no operation produced an output: nothing to measure")
+            return 1
         values = {
             "fps": result["fps"],
-            "setup_s": statistics.median(setups),
+            "setup_s": statistics.median(nominal for _, nominal in setups),
             "success_rate": (attempted - failed) / attempted,
-            "psnr_y_db": mean_psnr_y(operations) if not failed else 0.0,
-            "kbps": kbps(operations) if not failed else 0.0,
+            "psnr_y_db": mean_psnr_y(decoded),
+            "kbps": kbps(coded),
             "peak_rss_mb": result["peak_rss_mb"],
         }
         metrics = {name: _metric(values[name], unit) for name, unit in END_TO_END_UNITS.items()}

@@ -89,8 +89,8 @@ def test_per_layer_counts_repeat_across_traced_runs(h264_encode_op):
     op = h264_encode_op
     first, _ = traced(op.run, op.build())
     second, _ = traced(op.run, op.build())
-    for attribute in ("spans", "reentries", "opened", "callable_calls",
-                      "kernel_calls", "kernel_callers"):
+    for attribute in ("spans", "reentries", "outgoing", "callable_calls",
+                      "kernel_calls", "subpel_kernel_calls"):
         assert getattr(first, attribute) == getattr(second, attribute), attribute
     assert first.layer_calls("me.search") > 0
     assert first.layer_calls("robustness.engine") == 0
@@ -174,6 +174,16 @@ def test_pinned_digests_cover_every_workload():
             assert len(by_workload[name]) == len(SEQUENCE_NAMES) * len(workload.codecs)
             for kinds in by_workload[name].values():
                 assert set(kinds) == {"stream", "decoded"}
+
+
+def test_setup_only_reports_setup_and_reference_seconds():
+    completed = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "mpeg2-encode", "--seed", "1",
+         "--seconds", "0", "--setup-only"],
+        cwd=REPO_ROOT, capture_output=True, text=True, timeout=120, check=True,
+    )
+    setup_s, reference_s = map(float, completed.stdout.split())
+    assert 0 < reference_s < setup_s
 
 
 def test_runner_refuses_without_the_program(tmp_path):

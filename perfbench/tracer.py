@@ -28,6 +28,7 @@ import functools
 import importlib
 import inspect
 import pkgutil
+import statistics
 import sys
 import time
 import types
@@ -153,15 +154,15 @@ class LayerTracer:
         self.self_s = [0.0] * size
         self.spans = [0] * size
         self.reentries = [0] * size
-        #: spans each layer opened in other layers (wrapper cost booked to it)
-        self.opened = [0] * size
+        #: calls each layer made into another layer: spans it opened, kernels it called
+        self.outgoing = [0] * size
         self.callable_names: List[str] = []
         self.callable_calls: List[int] = []
         self.kernel_names: List[str] = []
         self.kernel_calls: List[int] = []
         self.kernel_s: List[float] = []
-        #: kernel calls by (kernel index * layers + innermost layer at the call)
-        self.kernel_callers: List[int] = []
+        #: per kernel, the calls made while ``me.subpel`` was the innermost layer
+        self.subpel_kernel_calls: List[int] = []
         self._stack: List[list] = [[self.layer_index[CONTROL], 0.0]]
         self._patches: List[Tuple[object, str, object, bool]] = []
         self._kernel_wrappers: Dict[int, object] = {}
@@ -174,7 +175,7 @@ class LayerTracer:
         self.callable_names.append(name)
         self.callable_calls.append(0)
         layer_id = self.layer_index[layer]
-        stack, calls, opened = self._stack, self.callable_calls, self.opened
+        stack, calls, outgoing = self._stack, self.callable_calls, self.outgoing
         self_s, spans, reentries, clock = self.self_s, self.spans, self.reentries, time.perf_counter
 
         @functools.wraps(fn)
@@ -183,7 +184,7 @@ class LayerTracer:
             if stack[-1][0] == layer_id:
                 reentries[layer_id] += 1
                 return fn(*args, **kwargs)
-            opened[stack[-1][0]] += 1
+            outgoing[stack[-1][0]] += 1
             frame = [layer_id, 0.0]
             stack.append(frame)
             start = clock()
@@ -203,18 +204,18 @@ class LayerTracer:
         self.kernel_names.append(kernel)
         self.kernel_calls.append(0)
         self.kernel_s.append(0.0)
-        layers = len(LAYERS)
-        self.kernel_callers.extend([0] * layers)
-        base = index * layers
-        layer_id = self.layer_index[layer]
-        stack, calls, kernel_s, callers = (
-            self._stack, self.kernel_calls, self.kernel_s, self.kernel_callers)
-        self_s, spans, clock = self.self_s, self.spans, time.perf_counter
+        self.subpel_kernel_calls.append(0)
+        layer_id, subpel_id = self.layer_index[layer], self.layer_index["me.subpel"]
+        stack, calls, kernel_s, subpel_calls = (
+            self._stack, self.kernel_calls, self.kernel_s, self.subpel_kernel_calls)
+        self_s, spans, outgoing, clock = self.self_s, self.spans, self.outgoing, time.perf_counter
 
         def traced(*args, **kwargs):
             parent = stack[-1]
             calls[index] += 1
-            callers[base + parent[0]] += 1
+            outgoing[parent[0]] += 1
+            if parent[0] == subpel_id:
+                subpel_calls[index] += 1
             start = clock()
             try:
                 return fn(*args, **kwargs)
@@ -310,14 +311,21 @@ class LayerTracer:
         return self.spans[index] + self.reentries[index]
 
 
-def calibrate(calls: int = 100_000, repeats: int = 5) -> Dict[str, float]:
-    """Seconds one wrapped call adds on a no-op, split by where the tracer books it.
+@dataclass(frozen=True)
+class CallCost:
+    """Seconds a wrapped call adds, split by the layer the tracer books it to."""
 
-    ``span_in``/``kernel_in`` land inside the callee's own span and so in its
-    layer's self time; ``span_out``/``kernel_out`` land in the caller's layer;
-    a re-entry's whole cost (``reentry``) stays in the layer it re-enters.
-    Measured in the calling process on private tracers, as the median of
-    ``repeats`` batches of ``calls`` calls each.
+    callee: float   #: inside the callee's span: booked to the called layer
+    caller: float   #: before and after the span: booked to the calling layer
+
+
+def calibrate(calls: int = 100_000, repeats: int = 5) -> CallCost:
+    """The tracer's own cost per call, measured on a no-op in the calling process.
+
+    A no-op is called ``calls`` times through a layer wrapper of a private
+    tracer.  The self time booked to its layer, less the same calls
+    unwrapped, is the callee's part; the rest of the added time is the
+    caller's.  Each is the median of ``repeats`` batches.
     """
 
     def noop():
@@ -329,23 +337,14 @@ def calibrate(calls: int = 100_000, repeats: int = 5) -> Dict[str, float]:
             fn()
         return time.perf_counter() - start
 
-    samples: Dict[str, List[float]] = {key: [] for key in (
-        "span_in", "span_out", "kernel_in", "kernel_out", "reentry")}
+    callee, caller = [], []
     for _ in range(repeats):
         tracer = LayerTracer()
-        span_fn = tracer.wrap(noop, "mc", "calibration.span")
-        kernel_fn = tracer._wrap_kernel(noop, "kernels.mc", "calibration.kernel")
-        inner = tracer.wrap(noop, "mc", "calibration.reentry")
-        outer = tracer.wrap(lambda: loop(inner), "mc", "calibration.outer")
+        wrapped = tracer.wrap(noop, "mc", "calibration")
         base = loop(noop)
-        span_total = loop(span_fn) - base
-        kernel_total = loop(kernel_fn) - base
-        span_self = tracer.self_s[tracer.layer_index["mc"]] - base
-        kernel_self = tracer.kernel_s[0] - base
-        samples["span_in"].append(span_self)
-        samples["span_out"].append(span_total - span_self)
-        samples["kernel_in"].append(kernel_self)
-        samples["kernel_out"].append(kernel_total - kernel_self)
-        samples["reentry"].append(outer() - base)
-    return {key: max(0.0, sorted(values)[repeats // 2] / calls)
-            for key, values in samples.items()}
+        added = loop(wrapped) - base
+        inside = tracer.self_s[tracer.layer_index["mc"]] - base
+        callee.append(inside)
+        caller.append(added - inside)
+    return CallCost(max(0.0, statistics.median(callee) / calls),
+                    max(0.0, statistics.median(caller) / calls))
