@@ -479,7 +479,7 @@ class H264Encoder(VideoEncoder):
             predictor=predictor,
             lagrangian=self.lagrangian,
             unit=4,
-            interp=kernels.mc_qpel_h264,
+            interp="mc_qpel_h264",
         )
 
     # ------------------------------------------------------------------

@@ -231,7 +231,7 @@ class Mpeg2Encoder(VideoEncoder):
             predictor=pmv,
             lagrangian=self.lagrangian,
             unit=2,
-            interp=kernels.mc_halfpel,
+            interp="mc_halfpel",
         )
 
     def _predict_mb(

@@ -202,9 +202,6 @@ class Mpeg4Encoder(VideoEncoder):
     # motion estimation
     # ------------------------------------------------------------------
 
-    def _interp(self):
-        return self.kernels.mc_qpel_bilinear if self.config.qpel else self.kernels.mc_halfpel
-
     def _search_block(
         self,
         source_block: np.ndarray,
@@ -238,7 +235,7 @@ class Mpeg4Encoder(VideoEncoder):
             predictor=predictor_frac,
             lagrangian=self.lagrangian,
             unit=self.unit,
-            interp=self._interp(),
+            interp="mc_qpel_bilinear" if config.qpel else "mc_halfpel",
         )
 
     def _predict_inter(self, reference: WorkingFrame, mbx: int, mby: int,

@@ -221,7 +221,7 @@ class Vc1Encoder(VideoEncoder):
             predictor=predictor,
             lagrangian=self.lagrangian,
             unit=4,
-            interp=kernels.mc_qpel_bilinear,
+            interp="mc_qpel_bilinear",
         )
 
     def _transform_residual(

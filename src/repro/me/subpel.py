@@ -1,26 +1,24 @@
 """Sub-pel motion vector refinement.
 
 After the integer-pel search, the encoders refine to half-pel (MPEG-2) or
-quarter-pel (MPEG-4 with ``qpel``, H.264) precision by evaluating the
-interpolated predictions around the best integer vector — the same
-two-stage refinement x264's ``--subme`` levels perform.
+quarter-pel (MPEG-4 with ``qpel``, VC-1, H.264) precision around the best
+integer vector — the two-stage refinement of x264's ``--subme`` levels.
+As in x264, a candidate is not interpolated on its own: it is a slice of
+its reference's phase plane (:meth:`repro.mc.pad.PaddedPlane.subpel_block`,
+built by the per-block kernel, so bit-identical to it) plus one ``sad``.
 
 Motion vectors returned here are in *fractional units*: half-pel units for
-MPEG-2 (interp = ``kernels.mc_halfpel``), quarter-pel for MPEG-4/H.264
-(interp = ``kernels.mc_qpel_bilinear`` / ``kernels.mc_qpel_h264``).
+MPEG-2 (interp = ``"mc_halfpel"``), quarter-pel for MPEG-4/VC-1/H.264
+(interp = ``"mc_qpel_bilinear"`` / ``"mc_qpel_h264"``).
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
 from repro.mc.pad import PaddedPlane
 from repro.me.cost import mv_rate_bits
 from repro.me.types import MotionVector, SearchResult
-
-InterpFn = Callable[..., np.ndarray]
 
 _NEIGHBOURS = (
     (-1, -1), (0, -1), (1, -1),
@@ -41,20 +39,21 @@ def refine_subpel(
     predictor: MotionVector,
     lagrangian: int,
     unit: int,
-    interp: InterpFn,
+    interp: str,
 ) -> SearchResult:
     """Refine ``integer_result`` to fractional precision.
 
     ``unit`` is the number of fractional positions per pel (2 = half-pel,
-    4 = quarter-pel); ``predictor`` must already be in fractional units.
+    4 = quarter-pel); ``predictor`` must already be in fractional units;
+    ``interp`` names the kernel of ``kernels`` that interpolates in ``unit``.
     Performs log2(unit) halving stages (half-pel, then quarter-pel).
     """
     px, py = reference.offset(x, y)
 
     def evaluate(mv: MotionVector) -> int:
-        block = interp(reference.plane, px, py, width, height, mv.x, mv.y)
-        sad = kernels.sad(current, block)
-        return sad + lagrangian * mv_rate_bits(mv, predictor)
+        block = reference.subpel_block(
+            kernels, interp, unit, px, py, width, height, mv.x, mv.y)
+        return kernels.sad(current, block) + lagrangian * mv_rate_bits(mv, predictor)
 
     best_mv = integer_result.mv.scaled(unit)
     best = SearchResult(best_mv, evaluate(best_mv))

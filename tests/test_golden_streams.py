@@ -20,6 +20,7 @@ GOLDEN = {
     "mpeg4": ("680839efbd276c809a339dca32232541f8fadb69d8fad1a5dfcb4d33b33faa57", 998),
     "h264": ("a2cc6d3ff3f024087aa484101302a5321ea17151321c08cfd4bebb0e7d2b163d", 610),
     "mjpeg": ("b64a9f423601edf3c5d29c032237b5ba116356925eb67db356717925955bc0ab", 1865),
+    "vc1": ("28db0fb93068217087ee397c2ff612f71cba3049557c91fee8a35530558da7d6", 947),
 }
 
 FIELDS = {
@@ -27,6 +28,7 @@ FIELDS = {
     "mpeg4": dict(qscale=5),
     "h264": dict(qp=26),
     "mjpeg": dict(quality=80),
+    "vc1": dict(qscale=5),
 }
 
 

@@ -2,6 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.kernels import BACKEND_NAMES, get_kernels
+from repro.mc.pad import pad_plane
 
 
 def gradient_plane(size: int = 32) -> np.ndarray:
@@ -145,3 +149,88 @@ class TestGetBlockAndAverage:
         a = np.array([[1]], dtype=np.int64)
         b = np.array([[2]], dtype=np.int64)
         assert int(kernels.average(a, b)[0, 0]) == 2
+
+
+# -- phase planes --------------------------------------------------------
+
+SEARCH_RANGE = 4
+FRAME = 40
+#: Fractional positions per pel of each interpolation kernel.
+UNITS = {"mc_halfpel": 2, "mc_qpel_bilinear": 4, "mc_qpel_h264": 4}
+SIZES = (4, 8, 16)
+#: Farthest integer-pel reach of a refined vector: the search range plus
+#: the sub-pel steps around its edge.
+REACH = SEARCH_RANGE + 1
+
+
+@pytest.fixture(scope="module", params=BACKEND_NAMES)
+def reference(request):
+    """A backend and one padded plane, shared so each phase plane is built once."""
+    return get_kernels(request.param), pad_plane(random_plane(FRAME, seed=12), SEARCH_RANGE)
+
+
+def assert_slice_is_kernel_output(reference, kernel, x, y, width, height, mvx, mvy):
+    kernels, padded = reference
+    px, py = padded.offset(x, y)
+    block = padded.subpel_block(kernels, kernel, UNITS[kernel], px, py, width, height, mvx, mvy)
+    expected = getattr(kernels, kernel)(padded.plane, px, py, width, height, mvx, mvy)
+    assert block.dtype == np.uint8
+    assert block.shape == expected.shape == (height, width)
+    assert np.array_equal(block, expected), (kernel, x, y, width, height, mvx, mvy)
+
+
+def corner_cases(kernel, fx, fy):
+    """Every block size at every picture corner, its vector reaching outwards."""
+    unit = UNITS[kernel]
+    for width in SIZES:
+        for height in SIZES:
+            for right in (False, True):
+                for bottom in (False, True):
+                    x = FRAME - width if right else 0
+                    y = FRAME - height if bottom else 0
+                    mvx = (REACH if right else -REACH) * unit + fx
+                    mvy = (REACH if bottom else -REACH) * unit + fy
+                    yield x, y, width, height, mvx, mvy
+
+
+@st.composite
+def phase_cases(draw):
+    kernel = draw(st.sampled_from(sorted(UNITS)))
+    reach = REACH * UNITS[kernel]
+    width, height = draw(st.sampled_from(SIZES)), draw(st.sampled_from(SIZES))
+    x = draw(st.one_of(st.sampled_from((0, FRAME - width)), st.integers(0, FRAME - width)))
+    y = draw(st.one_of(st.sampled_from((0, FRAME - height)), st.integers(0, FRAME - height)))
+    mvx = draw(st.integers(-reach, reach + UNITS[kernel] - 1))
+    mvy = draw(st.integers(-reach, reach + UNITS[kernel] - 1))
+    return kernel, x, y, width, height, mvx, mvy
+
+
+class TestPhasePlanes:
+    """A phase-plane slice equals the per-block kernel's output, bit for bit."""
+
+    @given(phase_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_slice_equals_kernel(self, reference, case):
+        assert_slice_is_kernel_output(reference, *case)
+
+    @pytest.mark.parametrize("kernel", sorted(UNITS))
+    def test_every_phase_at_the_corners(self, reference, kernel):
+        unit = UNITS[kernel]
+        for fy in range(unit):
+            for fx in range(unit):
+                cases = list(corner_cases(kernel, fx, fy))
+                # One block size per phase and corner keeps the scalar run short;
+                # the named H.264 cases below sweep all of them.
+                for case in cases[(fx + unit * fy) % 9 :: 9]:
+                    assert_slice_is_kernel_output(reference, kernel, *case)
+
+    @pytest.mark.parametrize("fx,fy", [
+        pytest.param(2, 2, id="j-centre-unclipped-intermediates"),
+        pytest.param(2, 1, id="f-avg-b-j"),
+        pytest.param(2, 3, id="q-avg-s-j"),
+        pytest.param(1, 2, id="i-avg-h-j"),
+        pytest.param(3, 2, id="k-avg-m-j"),
+    ])
+    def test_h264_centre_family(self, reference, fx, fy):
+        for case in corner_cases("mc_qpel_h264", fx, fy):
+            assert_slice_is_kernel_output(reference, "mc_qpel_h264", *case)

@@ -3,6 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.bench.characterize import CountingKernels, characterize_encode
+from repro.codecs import container, get_encoder
+from repro.codecs.frames import WorkingFrame
+from repro.codecs.h264.deblock import DeblockFilter, DeblockMeta
 from repro.kernels import get_kernels
 from repro.mc.pad import pad_plane
 from repro.me.cost import MotionCost, lambda_from_qp, mv_rate_bits
@@ -15,7 +19,8 @@ from repro.me.search import (
 )
 from repro.me.subpel import refine_subpel
 from repro.me.types import MotionVector, SearchResult, ZERO_MV, median_mv
-from repro.errors import ConfigError
+from repro.errors import CodecError, ConfigError
+from tests.conftest import make_moving_sequence
 
 KERNELS = get_kernels("simd")
 
@@ -165,7 +170,7 @@ class TestSubpel:
         refined = refine_subpel(
             KERNELS, current, padded, x, y, 16, 16, integer,
             predictor=ZERO_MV, lagrangian=0, unit=2,
-            interp=KERNELS.mc_halfpel,
+            interp="mc_halfpel",
         )
         assert refined.mv == MotionVector(1, 0)
         assert refined.cost == 0
@@ -186,7 +191,7 @@ class TestSubpel:
         refined = refine_subpel(
             KERNELS, current, padded, x, y, 16, 16, integer,
             predictor=ZERO_MV, lagrangian=0, unit=4,
-            interp=KERNELS.mc_qpel_bilinear,
+            interp="mc_qpel_bilinear",
         )
         assert refined.cost == 0
         assert refined.mv == MotionVector(5, 2)
@@ -197,6 +202,97 @@ class TestSubpel:
         reference = cost.reference
         refined = refine_subpel(
             KERNELS, cost.current, reference, cost.x, cost.y, 16, 16, integer,
-            predictor=ZERO_MV, lagrangian=0, unit=2, interp=KERNELS.mc_halfpel,
+            predictor=ZERO_MV, lagrangian=0, unit=2, interp="mc_halfpel",
         )
         assert refined.mv == integer.mv.scaled(2)
+
+
+#: Each interpolation kernel with its fractional positions per pel.
+INTERP_UNITS = (("mc_halfpel", 2), ("mc_qpel_bilinear", 4), ("mc_qpel_h264", 4))
+
+
+class TestPhasePlanes:
+    @pytest.mark.parametrize("interp,unit", INTERP_UNITS)
+    def test_one_build_per_phase_and_one_sad_per_candidate(self, interp, unit):
+        reference = textured_plane(seed=5)
+        source = np.roll(reference, (1, 2), axis=(0, 1)) + 3
+        padded = pad_plane(reference, 8)
+        counting = CountingKernels("simd")
+        refinements = 0
+        for y in range(0, 64, 16):
+            for x in range(0, 64, 16):
+                current = source[y : y + 16, x : x + 16]
+                cost = MotionCost(
+                    kernels=KERNELS, current=current, reference=padded,
+                    x=x, y=y, width=16, height=16,
+                    predictor=ZERO_MV, lagrangian=4, search_range=8,
+                )
+                refine_subpel(
+                    counting, current, padded, x, y, 16, 16, epzs_search(cost),
+                    predictor=ZERO_MV, lagrangian=4, unit=unit, interp=interp,
+                )
+                refinements += 1
+        stats = counting.profile.kernels
+        assert 1 <= stats[interp].calls <= unit * unit
+        assert sum(stats[name].calls for name, _ in INTERP_UNITS) == stats[interp].calls
+        stages = unit.bit_length() - 1
+        assert stats["sad"].calls == refinements * (1 + 8 * stages)
+
+    def test_keyed_by_kernel_name_not_function_name(self):
+        counting = CountingKernels("simd")
+        # Every counted kernel is a closure with the same function name.
+        assert counting.mc_qpel_bilinear.__name__ == counting.mc_qpel_h264.__name__
+        padded = pad_plane(textured_plane(seed=6), 8)
+        px, py = padded.offset(16, 16)
+        blocks = {}
+        for kernel in ("mc_qpel_bilinear", "mc_qpel_h264"):
+            blocks[kernel] = padded.subpel_block(counting, kernel, 4, px, py, 16, 16, 1, 0)
+            expected = getattr(KERNELS, kernel)(padded.plane, px, py, 16, 16, 1, 0)
+            assert np.array_equal(blocks[kernel], expected)
+        assert not np.array_equal(blocks["mc_qpel_bilinear"], blocks["mc_qpel_h264"])
+
+    def test_deblocking_drops_phase_planes(self):
+        frame = WorkingFrame.blank(32, 32)
+        frame.y[:, :16] = 100
+        frame.y[:, 16:] = 112
+        padded = frame.padded("y", 4)
+        px, py = padded.offset(12, 8)
+        stale = padded.subpel_block(KERNELS, "mc_qpel_h264", 4, px, py, 8, 8, 2, 2).copy()
+        # All-intra metadata: the strong filter smooths the blocking-sized
+        # step at x=16 in place, then invalidates the frame's padded planes.
+        DeblockFilter(KERNELS, qp=30).apply(frame, DeblockMeta(2, 2))
+        rebuilt = frame.padded("y", 4)
+        assert rebuilt is not padded
+        block = rebuilt.subpel_block(KERNELS, "mc_qpel_h264", 4, px, py, 8, 8, 2, 2)
+        assert np.array_equal(block, KERNELS.mc_qpel_h264(rebuilt.plane, px, py, 8, 8, 2, 2))
+        assert not np.array_equal(block, stale)
+
+    def test_samples_outside_pixel_range_raise(self):
+        padded = pad_plane(np.full((16, 16), 300, dtype=np.int64), 4)
+        px, py = padded.offset(0, 0)
+        with pytest.raises(CodecError):
+            padded.subpel_block(KERNELS, "mc_halfpel", 2, px, py, 8, 8, 1, 0)
+
+    def test_blocks_are_read_only_views(self):
+        padded = pad_plane(textured_plane(seed=7), 8)
+        px, py = padded.offset(8, 8)
+        block = padded.subpel_block(KERNELS, "mc_qpel_h264", 4, px, py, 8, 8, 3, 1)
+        with pytest.raises(ValueError):
+            block[0, 0] = 0
+
+
+@pytest.mark.parametrize("codec,fields", [
+    ("mpeg2", dict(qscale=5)),
+    ("mpeg4", dict(qscale=5, qpel=True)),
+    ("mpeg4", dict(qscale=5, qpel=False)),
+    ("vc1", dict(qscale=5)),
+    ("h264", dict(qp=26)),
+])
+def test_counting_kernels_encode_identically(codec, fields):
+    video = make_moving_sequence(width=32, height=32, frames=4, dx=1, dy=1, seed=42)
+    plain = get_encoder(codec, width=32, height=32, search_range=4, **fields)
+    expected = container.pack(plain.encode_sequence(video))
+    profile, stream = characterize_encode(
+        codec, video, width=32, height=32, search_range=4, **fields)
+    assert container.pack(stream) == expected
+    assert profile.kernels["sad"].calls > 0
