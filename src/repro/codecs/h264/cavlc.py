@@ -57,11 +57,9 @@ def _write_rice(writer: BitWriter, value: int, k: int) -> None:
 
 
 def _read_rice(reader: BitReader, k: int) -> int:
-    quotient = 0
-    while reader.read_bit() == 0:
-        quotient += 1
-        if quotient > _ESCAPE_PREFIX:
-            raise BitstreamError("runaway Rice prefix")
+    quotient = reader.read_unary(_ESCAPE_PREFIX + 1)
+    if quotient > _ESCAPE_PREFIX:
+        raise BitstreamError("runaway Rice prefix")
     if quotient == _ESCAPE_PREFIX:
         return (_ESCAPE_PREFIX << k) + reader.read_bits(_ESCAPE_BITS)
     remainder = reader.read_bits(k) if k else 0

@@ -11,13 +11,19 @@ fully deterministic, so encoder and decoder always agree.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Hashable, List, Mapping, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
 from repro.common.bitstream import BitReader, BitWriter
 from repro.errors import BitstreamError, ConfigError
 
 Symbol = Hashable
 Code = Tuple[int, int]  # (value, length)
+
+#: Width in bits of the window a :class:`VlcTable` decodes with one lookup
+#: (narrower for a table whose longest code is shorter).  Longer codes are
+#: found in a second, ``max_length``-bit window; docs/BITSTREAM.md gives the
+#: measurements behind the value.
+LOOKUP_BITS = 12
 
 
 def huffman_code_lengths(frequencies: Mapping[Symbol, float]) -> Dict[Symbol, int]:
@@ -63,7 +69,12 @@ def canonical_codes(lengths: Mapping[Symbol, int]) -> Dict[Symbol, Code]:
 
 
 class VlcTable:
-    """A static prefix-free code over a symbol alphabet."""
+    """A static prefix-free code over a symbol alphabet.
+
+    Decoding looks the next ``width`` bits up in a table built from the
+    code map: entry ``w`` holds the symbol whose code is a prefix of ``w``
+    and its length, or ``None`` when no code of at most ``width`` bits is.
+    """
 
     def __init__(self, codes: Mapping[Symbol, Code], name: str = "") -> None:
         self.name = name
@@ -72,12 +83,21 @@ class VlcTable:
         for symbol, (value, length) in self._encode.items():
             if length <= 0:
                 raise ConfigError(f"{name}: zero-length code for {symbol!r}")
+            if not 0 <= value < 1 << length:
+                raise ConfigError(f"{name}: code {value} for {symbol!r} has more than {length} bits")
             key = (value, length)
             if key in self._decode:
                 raise ConfigError(f"{name}: duplicate code for {symbol!r}")
             self._decode[key] = symbol
         self.max_length = max(length for _, length in self._encode.values())
         self._check_prefix_free()
+        self._width = min(self.max_length, LOOKUP_BITS)
+        self._lookup: List[Optional[Tuple[Symbol, int]]] = [None] * (1 << self._width)
+        for (value, length), symbol in self._decode.items():
+            if length <= self._width:
+                spread = self._width - length
+                start, stop = value << spread, (value + 1) << spread
+                self._lookup[start:stop] = [(symbol, length)] * (stop - start)
 
     @classmethod
     def from_frequencies(cls, frequencies: Mapping[Symbol, float], name: str = "") -> "VlcTable":
@@ -110,12 +130,26 @@ class VlcTable:
         writer.write_bits(value, length)
 
     def read(self, reader: BitReader) -> Symbol:
-        value = 0
-        for length in range(1, self.max_length + 1):
-            value = (value << 1) | reader.read_bit()
-            symbol = self._decode.get((value, length))
+        entry = self._lookup[reader.peek_bits(self._width)]
+        if entry is None:
+            return self._read_long(reader)
+        # A code cut off by the end of the data stops the reader at the end,
+        # where a bit-by-bit walk stops: the code is the only one its bits
+        # could begin.
+        reader.skip_bits(entry[1])
+        return entry[0]
+
+    def _read_long(self, reader: BitReader) -> Symbol:
+        """Decode from a ``max_length``-bit window: codes longer than the
+        lookup width, or no code, which fails after ``max_length`` bits as a
+        bit-by-bit walk does (or at the end of the data, if that comes first)."""
+        window = reader.peek_bits(self.max_length)
+        for length in range(self._width + 1, self.max_length + 1):
+            symbol = self._decode.get((window >> (self.max_length - length), length))
             if symbol is not None:
+                reader.skip_bits(length)
                 return symbol
+        reader.skip_bits(self.max_length)
         raise BitstreamError(f"{self.name}: invalid code in bitstream")
 
 

@@ -12,11 +12,23 @@ cannot be represented, reading whole bytes while unaligned — raises
 is malformed either way.  Decode loops can therefore catch
 ``BitstreamError`` and know they have seen *every* failure class this
 layer can emit; nothing escapes as a raw ``ValueError``.
+
+Both directions work a word at a time (docs/BITSTREAM.md, "Reading and
+writing"): the writer shifts a whole field into its accumulator, and code
+readers decide a whole code from one :meth:`BitReader.peek_bits` window.
+A failed read leaves the reader where a bit-by-bit read would have stopped,
+because that position is the ``bit_position`` a decode error reports.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.errors import BitstreamError, TruncationError
+
+#: Bits :meth:`BitReader.read_unary` counts from one window; a longer run of
+#: zeros is counted bit by bit.
+UNARY_WINDOW = 32
 
 
 class BitWriter:
@@ -63,8 +75,16 @@ class BitWriter:
         value = int(value)
         if value < 0 or value >> count:
             raise BitstreamError(f"value {value} does not fit in {count} bits")
-        for shift in range(count - 1, -1, -1):
-            self.write_bit((value >> shift) & 1)
+        count = int(count)
+        accum = (self._accum << count) | value
+        nbits = self._nbits + count
+        if nbits >= 8:
+            kept = nbits & 7
+            self._buffer += (accum >> kept).to_bytes(nbits >> 3, "big")
+            accum &= (1 << kept) - 1
+            nbits = kept
+        self._accum = accum
+        self._nbits = nbits
 
     def write_signed(self, value: int, count: int) -> None:
         """Append ``value`` as ``count``-bit two's complement."""
@@ -87,11 +107,12 @@ class BitWriter:
 
         Returns the number of padding bits written.
         """
-        padded = 0
-        while self._nbits:
-            self.write_bit(fill)
-            padded += 1
-        return padded
+        padding = -self._nbits & 7
+        if padding:
+            if fill not in (0, 1):
+                raise BitstreamError(f"bit must be 0 or 1, got {fill!r}")
+            self.write_bits((1 << padding) - 1 if fill else 0, padding)
+        return padding
 
     def to_bytes(self) -> bytes:
         """Return the stream contents, zero-padding the final partial byte."""
@@ -110,6 +131,7 @@ class BitReader:
     def __init__(self, data: bytes) -> None:
         self._data = data
         self._pos = 0  # bit position
+        self._end = 8 * len(data)
 
     @property
     def bit_position(self) -> int:
@@ -117,13 +139,13 @@ class BitReader:
 
     @property
     def bits_remaining(self) -> int:
-        return 8 * len(self._data) - self._pos
+        return self._end - self._pos
 
     def at_end(self) -> bool:
         return self.bits_remaining <= 0
 
     def read_bit(self) -> int:
-        if self._pos >= 8 * len(self._data):
+        if self._pos >= self._end:
             raise TruncationError("read past end of bitstream")
         byte = self._data[self._pos >> 3]
         bit = (byte >> (7 - (self._pos & 7))) & 1
@@ -136,7 +158,7 @@ class BitReader:
             raise BitstreamError(f"count must be non-negative, got {count}")
         if count == 0:
             return 0
-        if count > self.bits_remaining:
+        if count > self._end - self._pos:
             raise TruncationError(
                 f"requested {count} bits but only {self.bits_remaining} remain"
             )
@@ -159,22 +181,59 @@ class BitReader:
         return raw
 
     def peek_bits(self, count: int) -> int:
-        """Read ``count`` bits without consuming them.
+        """Read ``count`` bits without consuming them, from one slice of the data.
 
         Bits beyond the end of the stream are returned as zeros so that VLC
         table lookups near the stream tail remain simple; consuming them
         still raises.
         """
-        saved = self._pos
-        avail = min(count, self.bits_remaining)
-        value = self.read_bits(avail) << (count - avail)
-        self._pos = saved
-        return value
+        if count < 0:
+            raise BitstreamError(f"count must be non-negative, got {count}")
+        position = self._pos
+        start = position >> 3
+        stop = (position + count + 7) >> 3
+        chunk = self._data[start:stop]
+        window = int.from_bytes(chunk, "big") << ((stop - start - len(chunk)) << 3)
+        return (window >> ((stop << 3) - position - count)) & ((1 << count) - 1)
 
     def skip_bits(self, count: int) -> None:
-        if count > self.bits_remaining:
+        """Consume ``count`` bits, such as a code found with :meth:`peek_bits`.
+
+        If fewer remain, the reader stops at the end of the data and raises
+        :class:`TruncationError`, as reading the bits one at a time would.
+        """
+        if count < 0:
+            raise BitstreamError(f"count must be non-negative, got {count}")
+        if count > self._end - self._pos:
+            self._pos = self._end
             raise TruncationError("skip past end of bitstream")
         self._pos += count
+
+    def read_unary(self, limit: Optional[int] = None) -> int:
+        """Count the 0 bits before the next 1 bit; consume both and return the count.
+
+        The count is the leading-zero count of one window of at least
+        :data:`UNARY_WINDOW` bits: the window's width less its
+        ``bit_length``.  With a ``limit``, a run of ``limit`` zeros stops the
+        count: exactly ``limit`` zeros are consumed and ``limit`` is
+        returned.  A run that fills the window, or reaches the end of the
+        data, is counted bit by bit, so one that ends with the data raises
+        :class:`TruncationError` with the reader at the end, where a
+        bit-by-bit read stops.
+        """
+        position = self._pos
+        chunk = self._data[position >> 3:(position + UNARY_WINDOW + 7) >> 3]
+        width = 8 * len(chunk) - (position & 7)
+        zeros = width - (int.from_bytes(chunk, "big") & ((1 << width) - 1)).bit_length()
+        if zeros < width and (limit is None or zeros < limit):
+            self._pos = position + zeros + 1
+            return zeros
+        zeros = 0
+        while not self.read_bit():
+            zeros += 1
+            if zeros == limit:
+                break
+        return zeros
 
     def align(self) -> int:
         """Advance to the next byte boundary; returns bits skipped.
@@ -190,6 +249,8 @@ class BitReader:
 
     def read_bytes(self, count: int) -> bytes:
         """Read whole bytes; requires byte alignment."""
+        if count < 0:
+            raise BitstreamError(f"count must be non-negative, got {count}")
         if self._pos & 7:
             raise BitstreamError("read_bytes requires byte alignment")
         start = self._pos >> 3

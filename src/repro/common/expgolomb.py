@@ -23,9 +23,7 @@ def write_ue(writer: BitWriter, value: int) -> None:
 
 def read_ue(reader: BitReader) -> int:
     """Read an unsigned Exp-Golomb code."""
-    zeros = 0
-    while reader.read_bit() == 0:
-        zeros += 1
+    zeros = reader.read_unary()
     value = 1 << zeros
     if zeros:
         value |= reader.read_bits(zeros)

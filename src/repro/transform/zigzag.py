@@ -26,22 +26,47 @@ def _zigzag_positions(size: int) -> List[Tuple[int, int]]:
     return positions
 
 
-ZIGZAG_8X8: Tuple[Tuple[int, int], ...] = tuple(_zigzag_positions(8))
-ZIGZAG_4X4: Tuple[Tuple[int, int], ...] = tuple(_zigzag_positions(4))
-ZIGZAG_2X2: Tuple[Tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
+class ScanOrder(tuple):
+    """Block positions ``(row, column)`` in scan order.
+
+    A tuple of positions that also carries them as row and column index
+    arrays, built once, so :func:`scan` and :func:`unscan` move a whole
+    block with one fancy-indexing operation.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+
+    def __new__(cls, positions: Sequence[Tuple[int, int]]) -> "ScanOrder":
+        order = super().__new__(cls, (tuple(position) for position in positions))
+        order.rows = np.array([i for i, _ in order], dtype=np.intp)
+        order.cols = np.array([j for _, j in order], dtype=np.intp)
+        order.rows.flags.writeable = order.cols.flags.writeable = False
+        return order
+
+
+ZIGZAG_8X8 = ScanOrder(_zigzag_positions(8))
+ZIGZAG_4X4 = ScanOrder(_zigzag_positions(4))
+ZIGZAG_2X2 = ScanOrder(((0, 0), (0, 1), (1, 0), (1, 1)))
 
 
 def scan(block: np.ndarray, order: Sequence[Tuple[int, int]]) -> List[int]:
     """Serialise ``block`` in the given scan order."""
-    rows = block.tolist()
-    return [rows[i][j] for i, j in order]
+    if not isinstance(order, ScanOrder):
+        order = ScanOrder(order)
+    return block[order.rows, order.cols].tolist()
 
 
 def unscan(values: Sequence[int], order: Sequence[Tuple[int, int]], size: int) -> np.ndarray:
-    """Rebuild a ``size`` x ``size`` block from scan-ordered ``values``."""
+    """Rebuild a ``size`` x ``size`` block from scan-ordered ``values``.
+
+    Positions past the end of a short ``values`` stay zero.
+    """
+    if not isinstance(order, ScanOrder):
+        order = ScanOrder(order)
     block = np.zeros((size, size), dtype=np.int64)
-    for value, (i, j) in zip(values, order):
-        block[i, j] = value
+    count = min(len(values), len(order))
+    block[order.rows[:count], order.cols[:count]] = values[:count]
     return block
 
 

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.common.yuv import YuvFrame, YuvSequence
 from repro.kernels import get_kernels
+
+#: The larger budget CI gives the bitstream oracle properties
+#: (``--hypothesis-profile=oracle``); tier-1 runs keep the default profile.
+settings.register_profile("oracle", max_examples=2000, deadline=None)
 
 
 @pytest.fixture(scope="session")

@@ -139,6 +139,53 @@ class TestBitReader:
         with pytest.raises(BitstreamError):
             BitReader(b"").skip_bits(1)
 
+    def test_skip_past_end_stops_at_end(self):
+        # Where reading the skipped bits one at a time would have stopped.
+        from repro.errors import TruncationError
+
+        reader = BitReader(b"\xff\x00")
+        reader.read_bits(3)
+        with pytest.raises(TruncationError):
+            reader.skip_bits(14)
+        assert reader.bit_position == 16
+
+    def test_negative_skip_raises_without_moving(self):
+        reader = BitReader(b"\xff\x00")
+        reader.read_bits(8)
+        with pytest.raises(BitstreamError) as raised:
+            reader.skip_bits(-4)
+        assert type(raised.value) is BitstreamError
+        assert reader.bit_position == 8
+
+    def test_negative_read_bytes_raises_without_moving(self):
+        reader = BitReader(b"\xff\x00")
+        assert reader.read_bytes(1) == b"\xff"
+        with pytest.raises(BitstreamError) as raised:
+            reader.read_bytes(-1)
+        assert type(raised.value) is BitstreamError
+        assert reader.bit_position == 8
+
+    def test_read_unary_counts_zeros_and_consumes_the_one(self):
+        reader = BitReader(bytes([0b00010110]))
+        assert reader.read_unary() == 3
+        assert reader.bit_position == 4
+        assert reader.read_unary() == 1
+        assert reader.read_unary() == 0
+
+    def test_read_unary_limit_consumes_exactly_limit_zeros(self):
+        reader = BitReader(bytes(3))
+        assert reader.read_unary(5) == 5
+        assert reader.bit_position == 5
+
+    def test_read_unary_past_end_stops_at_end(self):
+        from repro.errors import TruncationError
+
+        for data in (b"", bytes(1), bytes(6)):
+            reader = BitReader(data)
+            with pytest.raises(TruncationError):
+                reader.read_unary()
+            assert reader.bit_position == 8 * len(data)
+
     def test_align(self):
         reader = BitReader(bytes([0xFF, 0xAB]))
         reader.read_bits(3)

@@ -7,12 +7,16 @@ deliberate (bump ``repro.codecs.container.VERSION`` and re-record the
 hashes with the helper at the bottom).
 """
 
+import dataclasses
+import functools
 import hashlib
+import json
 
 import pytest
 
 from repro.codecs import container, get_decoder, get_encoder
 from repro.common.metrics import sequence_psnr
+from repro.errors import ReproError
 from tests.conftest import make_moving_sequence
 
 GOLDEN = {
@@ -62,6 +66,75 @@ class TestGolden:
         assert psnr.combined > 33.0
 
 
+#: sha256 over the (exception class, ``bit_position``) of every damaged decode
+#: in :func:`damaged_outcomes`.  Recorded with the bit-serial reader, so a
+#: faster reader must fail on the same inputs, with the same class, at the
+#: same bit.  Unlike the hashes above these pin error behaviour, not the
+#: format, and re-recording them needs the same justification.
+ERROR_PINS = {
+    "h264": "299177b282a2c6af5648e8bb1dbe5cba53fd138634a0d0d6efdc011b52c9f4a9",
+    "mjpeg": "8b1997d93ba5a840aacc8ef5421a94b33169cc522bc1aeff40bb345697eec74e",
+    "mpeg2": "2c3cbc8785678388a3747717676af654d41de2fd80101e9dc69383e30e08f35e",
+    "mpeg4": "e75cb23aaa34f4d42d41fba04714935d5ad80cea45c1f5d0fde4309e96f0675b",
+    "vc1": "2c58560898734da8f27fff4ff4b19b58442547726dd98af2a88ea48c58b77083",
+}
+
+#: Truncated lengths per damaged picture (every k-th byte length).
+TRUNCATIONS = 16
+#: Single-bit flips per damaged picture, evenly spaced over its payload.
+FLIPS = 4
+
+
+@functools.lru_cache(maxsize=None)
+def golden_stream(codec):
+    return container.unpack(encode(codec))
+
+
+def damaged_outcomes(codec):
+    """Decode damaged copies of coding-order pictures 1 and 2.
+
+    Those are the P and the first B picture of the four motion-compensated
+    codecs, and two I pictures of Motion-JPEG.  Each picture is truncated
+    at every k-th byte length and, separately, has single bits flipped;
+    each outcome is the error's class and ``bit_position``, or ``ok``.
+    """
+    stream = golden_stream(codec)
+    outcomes = []
+    for index in (1, 2):
+        payload = stream.pictures[index].payload
+        step = max(1, len(payload) // TRUNCATIONS)
+        variants = [payload[:length] for length in range(0, len(payload), step)]
+        bits = 8 * len(payload)
+        for bit in range(bits // (2 * FLIPS) + 3, bits, bits // FLIPS):
+            flipped = bytearray(payload)
+            flipped[bit >> 3] ^= 0x80 >> (bit & 7)
+            variants.append(bytes(flipped))
+        for variant in variants:
+            pictures = list(stream.pictures)
+            pictures[index] = dataclasses.replace(pictures[index], payload=variant)
+            try:
+                get_decoder(codec).decode(dataclasses.replace(stream, pictures=pictures))
+            except ReproError as error:
+                outcomes.append((type(error).__name__, error.bit_position))
+            else:
+                outcomes.append(("ok", None))
+    return outcomes
+
+
+def outcomes_digest(outcomes):
+    return hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("codec", sorted(ERROR_PINS))
+def test_damaged_pictures_fail_identically(codec):
+    outcomes = damaged_outcomes(codec)
+    assert len(outcomes) > 2 * TRUNCATIONS
+    assert any(name == "TruncationError" for name, _ in outcomes)
+    assert outcomes_digest(outcomes) == ERROR_PINS[codec], (
+        f"{codec}: a damaged picture now fails differently: {outcomes}"
+    )
+
+
 def regenerate():  # pragma: no cover - maintenance helper
     """Print fresh golden values after a deliberate format change."""
     for codec in sorted(GOLDEN):
@@ -69,6 +142,8 @@ def regenerate():  # pragma: no cover - maintenance helper
         stream = container.unpack(data)
         print(f'    "{codec}": ("{hashlib.sha256(data).hexdigest()}", '
               f"{stream.total_bytes}),")
+    for codec in sorted(ERROR_PINS):
+        print(f'    "{codec}": "{outcomes_digest(damaged_outcomes(codec))}",')
 
 
 if __name__ == "__main__":  # pragma: no cover

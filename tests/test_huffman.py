@@ -104,6 +104,13 @@ class TestVlcTable:
         with pytest.raises(ConfigError):
             VlcTable({"a": (0, 1), "b": (0, 1)})
 
+    def test_code_value_must_fit_its_length(self):
+        # Such a code can never be read, and it would index past the lookup table.
+        with pytest.raises(ConfigError):
+            VlcTable({"a": (2, 1), "b": (0, 1)})
+        with pytest.raises(ConfigError):
+            VlcTable({"a": (-1, 2)})
+
     def test_prefix_violation_rejected(self):
         with pytest.raises(ConfigError):
             VlcTable({"a": (0, 1), "b": (1, 2)})  # '0' is a prefix of... ok

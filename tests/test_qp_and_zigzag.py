@@ -15,11 +15,27 @@ from repro.transform.zigzag import (
     ZIGZAG_2X2,
     ZIGZAG_4X4,
     ZIGZAG_8X8,
+    scan,
     scan4,
     scan8,
+    unscan,
     unscan4,
     unscan8,
 )
+
+
+def loop_scan(block, order):
+    """``scan`` one position at a time: the reference for the index arrays."""
+    rows = block.tolist()
+    return [rows[i][j] for i, j in order]
+
+
+def loop_unscan(values, order, size):
+    """``unscan`` one position at a time: the reference for the index arrays."""
+    block = np.zeros((size, size), dtype=np.int64)
+    for value, (i, j) in zip(values, order):
+        block[i, j] = value
+    return block
 
 
 class TestEquation1:
@@ -102,3 +118,16 @@ class TestZigzag:
         assert int(block[0, 0]) == 5
         assert int(block[0, 1]) == 3
         assert int(np.sum(np.abs(block))) == 8
+
+    @pytest.mark.parametrize("order, size", [(ZIGZAG_8X8, 8), (ZIGZAG_4X4, 4), (ZIGZAG_2X2, 2)])
+    @given(st.data())
+    def test_index_arrays_match_loops(self, order, size, data):
+        levels = st.integers(-2048, 2047)
+        block = np.array(data.draw(st.lists(levels, min_size=size * size, max_size=size * size)),
+                         dtype=np.int64).reshape(size, size)
+        values = data.draw(st.lists(levels, max_size=size * size + 2))
+        for positions in (order, list(order)):
+            scanned = scan(block, positions)
+            assert scanned == loop_scan(block, order)
+            assert all(type(value) is int for value in scanned)
+            assert np.array_equal(unscan(values, positions, size), loop_unscan(values, order, size))
