@@ -22,16 +22,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
 from repro.analysis.findings import Finding
+from repro.chaos.fsops import atomic_write
 
 BASELINE_SCHEMA = "repro.analysis.baseline/1"
 DEFAULT_BASELINE_NAME = ".hdvb-lint-baseline.json"
 
 
 class BaselineError(Exception):
-    """The baseline file is missing, unreadable or malformed."""
+    """The baseline file is missing, unreadable, malformed or unwritable."""
 
 
 @dataclass(frozen=True)
@@ -116,37 +117,36 @@ def prune_stale(path: Path, stale: Sequence[BaselineEntry]) -> int:
     kept = [entry for entry in baseline.entries
             if entry.key not in stale_keys]
     removed = len(baseline.entries) - len(kept)
-    if not removed:
-        return 0
-    document: Dict[str, object] = {
-        "schema": BASELINE_SCHEMA,
-        "entries": [
-            {
-                "rule": entry.rule,
-                "module": entry.module,
-                "message": entry.message,
-                "reason": entry.reason,
-            }
-            for entry in kept
-        ],
-    }
-    path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
+    if removed:
+        _write(path, kept)
     return removed
 
 
 def write_baseline(path: Path, findings: Sequence[Finding],
                    reason: str = "TODO: justify or fix") -> None:
     """Write ``findings`` as a fresh baseline (each entry needs review)."""
-    document: Dict[str, object] = {
+    _write(path, [
+        BaselineEntry(rule=finding.rule_id,
+                      module=finding.module or finding.path,
+                      message=finding.message, reason=reason)
+        for finding in findings
+    ])
+
+
+def _write(path: Path, entries: Sequence[BaselineEntry]) -> None:
+    """Replace ``path`` with ``entries`` through ``atomic_write``: a
+    failed rewrite raises BaselineError and leaves the old file as it
+    was, byte for byte."""
+    document = {
         "schema": BASELINE_SCHEMA,
         "entries": [
-            {
-                "rule": finding.rule_id,
-                "module": finding.module or finding.path,
-                "message": finding.message,
-                "reason": reason,
-            }
-            for finding in findings
+            {"rule": entry.rule, "module": entry.module,
+             "message": entry.message, "reason": entry.reason}
+            for entry in entries
         ],
     }
-    path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
+    try:
+        atomic_write(path, (json.dumps(document, indent=2) + "\n").encode())
+    except OSError as error:
+        raise BaselineError(
+            f"cannot write baseline {path}: {error}") from error

@@ -12,9 +12,10 @@ never by path or mtime:
 
 The graph pickles without AST nodes (every rule-relevant datum is
 precomputed onto :class:`~repro.analysis.graph.FunctionNode`), so a warm
-run serves HDVB200-203 from the cache alone.  Writes go through a temp
-file + ``os.replace`` so a crashed lint never leaves a torn pickle; a
-cache entry that fails to unpickle is treated as a miss and rewritten.
+run serves HDVB200-203 from the cache alone.  Writes go through
+:func:`repro.chaos.fsops.atomic_write` so a crashed lint never leaves a
+torn pickle; a write that fails, or an entry that fails to unpickle, is
+a cache miss.
 Entries for contents no longer referenced are pruned on save, keeping
 the directory proportional to the tree.
 """
@@ -23,12 +24,12 @@ from __future__ import annotations
 
 import ast
 import hashlib
-import os
 import pickle
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.graph import CallGraph
+from repro.chaos.fsops import atomic_write
 
 DEFAULT_CACHE_DIR = ".hdvb-lint-cache"
 
@@ -50,13 +51,6 @@ def graph_key(module_shas: Dict[str, str]) -> str:
         digest.update(b":")
         digest.update(module_shas[module].encode("ascii"))
     return digest.hexdigest()
-
-
-def _atomic_write(path: Path, payload: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    temp = path.with_name(path.name + ".tmp")
-    temp.write_bytes(payload)
-    os.replace(str(temp), str(path))
 
 
 class LintCache:
@@ -89,8 +83,8 @@ class LintCache:
 
     def store_tree(self, sha: str, tree: ast.Module) -> None:
         try:
-            _atomic_write(self._ast_path(sha),
-                          pickle.dumps(tree, protocol=pickle.HIGHEST_PROTOCOL))
+            atomic_write(self._ast_path(sha),
+                         pickle.dumps(tree, protocol=pickle.HIGHEST_PROTOCOL))
         except OSError:
             pass        # a read-only cache degrades to a slow lint
 
@@ -113,7 +107,7 @@ class LintCache:
 
     def store_graph(self, key: str, graph: CallGraph) -> None:
         try:
-            _atomic_write(
+            atomic_write(
                 self._graph_path(key),
                 pickle.dumps(graph, protocol=pickle.HIGHEST_PROTOCOL))
         except OSError:

@@ -211,7 +211,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     if options.write_baseline:
-        write_baseline(baseline_path, result.findings)
+        try:
+            write_baseline(baseline_path, result.findings)
+        except BaselineError as error:
+            print(f"hdvb-lint: {error}", file=sys.stderr)
+            return 2
         print(f"hdvb-lint: wrote {len(result.findings)} entr"
               f"{'y' if len(result.findings) == 1 else 'ies'} to "
               f"{baseline_path} -- add a reason to each before committing")

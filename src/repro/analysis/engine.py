@@ -22,12 +22,10 @@ from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis import (  # noqa: F401 -- rule registration
-    atomicity,
     blocking,
     determinism,
     escapes,
     eventlog,
-    orchestration,
     parity,
     persistence,
     picklesafety,

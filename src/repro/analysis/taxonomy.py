@@ -8,7 +8,10 @@ guarantee has two static halves:
 * code that parses untrusted payloads must *raise* taxonomy errors in the
   first place — a ``ValueError`` from ``BitReader`` technically gets
   wrapped later, but loses its class and teaches callers to catch the
-  wrong thing (HDVB110);
+  wrong thing (HDVB110).  The orchestrator gets the same check against
+  its own class: a builtin raised from spec parsing or cache I/O loses
+  the spec/cell identity an :class:`~repro.errors.OrchestrateError`
+  carries;
 * no handler may silently swallow a broad exception class — a blind
   ``except Exception: pass`` hides corruption the robustness metrics are
   supposed to count (HDVB111).
@@ -43,13 +46,27 @@ FORBIDDEN_RAISES = frozenset({
     "BufferError", "MemoryError", "UnicodeDecodeError",
 })
 
+#: HDVB110 scopes: (directories, files, message naming the class to
+#: raise instead, hint).
+RAISE_SCOPES = (
+    (DECODE_SCOPE, DECODE_FILES,
+     "decode path raises builtin {name} instead of a ReproError subclass",
+     "raise a repro.errors taxonomy class (BitstreamError, "
+     "TruncationError, CodecError, ConfigError, SequenceError)"),
+    (("orchestrate/",), (),
+     "orchestrator code raises builtin {name} instead of OrchestrateError",
+     "raise repro.errors.OrchestrateError (spec=..., cell=...) instead of "
+     "a builtin exception"),
+)
+
 #: Handler types considered "blind" when they catch-and-discard.
 BROAD_EXCEPTS = frozenset({"Exception", "BaseException"})
 
 
 @register
 class RaiseTaxonomyRule(Rule):
-    """HDVB110: decode/receive paths raise only ReproError subclasses."""
+    """HDVB110: decode/receive paths raise only ReproError subclasses,
+    orchestrator code only OrchestrateError."""
 
     rule_id = "HDVB110"
     name = "raise-taxonomy"
@@ -57,16 +74,19 @@ class RaiseTaxonomyRule(Rule):
         "the hardened decode contract is that every failure reaching a "
         "caller is a ReproError with decode context; raising builtin "
         "exceptions from parse paths forces guard-layer guessing and "
-        "breaks isinstance-based recovery decisions (re-fetch vs conceal)"
+        "breaks isinstance-based recovery decisions (re-fetch vs conceal), "
+        "and an orchestrator failure that is not an OrchestrateError loses "
+        "the spec/cell identity that makes a matrix failure attributable"
     )
-    hint = (
-        "raise a repro.errors taxonomy class (BitstreamError, "
-        "TruncationError, CodecError, ConfigError, SequenceError)"
-    )
+    hint = RAISE_SCOPES[0][3]
 
     def check(self, unit: ModuleUnit) -> Iterator[Finding]:
-        if unit.tree is None or not in_scope(unit.module, DECODE_SCOPE,
-                                             DECODE_FILES):
+        if unit.tree is None:
+            return
+        for prefixes, files, message, hint in RAISE_SCOPES:
+            if in_scope(unit.module, prefixes, files):
+                break
+        else:
             return
         for node in ast.walk(unit.tree):
             if not isinstance(node, ast.Raise) or node.exc is None:
@@ -75,11 +95,8 @@ class RaiseTaxonomyRule(Rule):
             if isinstance(target, ast.Call):
                 target = target.func
             if isinstance(target, ast.Name) and target.id in FORBIDDEN_RAISES:
-                yield self.finding(
-                    unit, node,
-                    f"decode path raises builtin {target.id} instead of a "
-                    f"ReproError subclass",
-                )
+                yield self.finding(unit, node,
+                                   message.format(name=target.id), hint)
 
 
 def _handler_is_broad(handler: ast.ExceptHandler) -> bool:

@@ -483,7 +483,7 @@ def _dispatch(args) -> int:
                 log = _events.current_log()
                 # An event log is a report, not durable state: the next
                 # run with --events rewrites it whole.
-                with open(events_path, "w",  # hdvb: disable=HDVB160,HDVB190
+                with open(events_path, "w",  # hdvb: disable=HDVB190
                           encoding="utf-8") as handle:
                     handle.write(log.to_jsonl(canonical=True))
                 print(f"hdvb-bench serve: wrote {len(log)} event(s) to "
@@ -612,7 +612,7 @@ def _run_performance_command(args) -> None:
             payload = trace.to_json(indent=2)
         # The trace file is a span dump for chrome://tracing, not a bench
         # result; results go through the store.
-        with open(args.trace, "w", encoding="utf-8") as handle:  # hdvb: disable=HDVB160
+        with open(args.trace, "w", encoding="utf-8") as handle:  # hdvb: disable=HDVB190
             handle.write(payload)
         print(f"trace written to {args.trace} ({args.trace_format} format, "
               f"{len(trace)} spans)", file=sys.stderr)

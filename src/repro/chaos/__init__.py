@@ -7,7 +7,8 @@ torn writes and flaky disks.  This package makes the claim testable:
 * :mod:`repro.chaos.plan` — seeded :class:`FaultPlan` schedules (which
   faults fire when, reproducibly) and the frozen crash-point registry;
 * :mod:`repro.chaos.fsops` — the :func:`fileops` seam durable code
-  writes through, the :class:`ChaosFS` shim that injects genuine
+  writes through, :func:`atomic_write` (the one whole-file durable
+  write), the :class:`ChaosFS` shim that injects genuine
   ``OSError``/``ENOSPC``/short-write/fsync-lie/stale-lock faults, and
   :func:`crash_point` for simulated process death;
 * :mod:`repro.chaos.harness` — the crash-recovery proof: for every
@@ -20,7 +21,7 @@ and :mod:`repro.orchestrate.fsck`.
 """
 
 from repro.chaos.fsops import (CRASH_EXIT_CODE, ChaosFS, FileOps, activate,
-                               crash_point, fileops)
+                               atomic_write, crash_point, fileops)
 from repro.chaos.plan import (CRASH_POINTS, FAULT_KINDS, INJECTABLE_OPS,
                               Fault, FaultPlan, require_crash_point)
 
@@ -34,6 +35,7 @@ __all__ = [
     "FileOps",
     "INJECTABLE_OPS",
     "activate",
+    "atomic_write",
     "crash_point",
     "fileops",
     "require_crash_point",

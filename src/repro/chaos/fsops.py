@@ -1,12 +1,16 @@
 """The filesystem seam: real ops by default, chaos when activated.
 
-Durable code in :mod:`repro.observe.store` and
-:mod:`repro.orchestrate.artifacts` never calls ``os.open``/``os.replace``
-directly for its critical writes; it goes through :func:`fileops`, which
-returns the passthrough :class:`FileOps` unless a :class:`ChaosFS` has
-been :func:`activate`\\ d.  Production cost is one attribute lookup; test
+Durable code never calls ``os.open``/``os.replace`` directly for its
+critical writes; it goes through :func:`fileops`, which returns the
+passthrough :class:`FileOps` unless a :class:`ChaosFS` has been
+:func:`activate`\\ d.  Production cost is one attribute lookup; test
 benefit is that every torn write, full disk, lying fsync and stale lock
 the real world can produce is reproducible from a seed.
+
+Every whole-file durable write -- store compaction and fsck repair,
+artifact and meta files, shard manifests, flight dumps, lint cache
+pickles and the lint baseline -- is one :func:`atomic_write` call:
+temp file, fsync, ``replace``, all through the seam.
 
 Crash points are the second seam: durable code brackets its critical
 sections with ``crash_point("store.append.pre_write", path)`` calls.
@@ -25,8 +29,9 @@ exactly as a real flaky filesystem would exercise them.
 from __future__ import annotations
 
 import contextlib
+import errno
 import os
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Union
 
 from repro.chaos.plan import Fault, FaultPlan, require_crash_point
 from repro.errors import CrashInjected
@@ -225,6 +230,44 @@ def crash_point(name: str, path: str = "") -> None:
         active.maybe_crash(name, path)
 
 
+def atomic_write(path: Union[str, os.PathLike], data: bytes,
+                 crash_point: Optional[str] = None) -> None:
+    """Replace ``path`` with ``data`` so a crash leaves old or new bytes.
+
+    Creates the parent directory, writes ``<path>.tmp`` through the
+    seam (a short write is an ``OSError``), fsyncs, announces
+    ``crash_point`` (a registered name, validated up front) and swaps
+    the temp into place.
+    On ``OSError`` the temp is unlinked and the error re-raised for the
+    caller to wrap; a simulated death (``CrashInjected``) leaves the
+    temp behind, exactly the debris a real crash leaves for fsck.
+    """
+    if crash_point is not None:
+        require_crash_point(crash_point)
+    path = os.fspath(path)
+    temp = path + ".tmp"
+    ops = fileops()
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        descriptor = ops.open(temp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC,
+                              0o644)
+        try:
+            written = ops.write(descriptor, data, path=temp)
+            if written != len(data):
+                raise OSError(errno.EIO, f"short write to {temp}: "
+                                         f"{written}/{len(data)} bytes")
+            ops.fsync(descriptor)
+        finally:
+            ops.close(descriptor)
+        if crash_point is not None:
+            ops.crash_point(crash_point, temp)
+        ops.replace(temp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
+        raise
+
+
 @contextlib.contextmanager
 def activate(fs: ChaosFS) -> Iterator[ChaosFS]:
     """Route all seamed file operations through ``fs`` for the duration."""
@@ -242,6 +285,7 @@ __all__ = [
     "ChaosFS",
     "FileOps",
     "activate",
+    "atomic_write",
     "crash_point",
     "fileops",
 ]

@@ -10,14 +10,15 @@ output):
 ========  ============================================================
 FSCK301   malformed line (invalid JSON / failed record validation)
 FSCK302   truncated tail -- the torn-append signature
-FSCK303   orphan compaction temp (a crash between temp write + swap)
+FSCK303   orphan rewrite temp (a crash between temp write + swap in
+          compaction or in this repair)
 ========  ============================================================
 
 Repair (``--repair``) is conservative and loss-free:
 
 * good lines are preserved **byte-identically** — the repaired history
-  is the original file minus the bad byte ranges, rewritten atomically
-  (temp + ``os.replace``);
+  is the original file minus the bad byte ranges, rewritten with
+  :func:`~repro.chaos.fsops.atomic_write`;
 * every removed range is quarantined, not deleted: appended to
   ``quarantine.jsonl`` as a ``repro.chaos.quarantine/1`` envelope
   carrying the original offset, reason and base64 payload, so a human
@@ -40,7 +41,7 @@ import os
 from typing import List
 
 from repro.analysis.findings import Finding
-from repro.chaos.fsops import fileops
+from repro.chaos.fsops import atomic_write, fileops
 from repro.errors import ObserveError
 from repro.observe.store import HistoryStore, MalformedLine
 
@@ -104,7 +105,7 @@ def fsck_store(store: HistoryStore, repair: bool = False) -> List[Finding]:
             rule_id="FSCK303",
             path=str(temp),
             line=0,
-            message="orphan compaction temp (crash between write and swap)",
+            message="orphan rewrite temp (crash between write and swap)",
             module=str(temp),
             hint="run `hdvb-observe fsck --repair` to delete it",
         ))
@@ -142,19 +143,7 @@ def _repair(store: HistoryStore) -> None:
                 keep.append(raw[cursor:bad.offset])
                 cursor = bad.offset + bad.length
             keep.append(raw[cursor:])
-            repaired = b"".join(keep)
-            temp = str(store.path) + ".repair.tmp"
-            descriptor = ops.open(
-                temp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-            try:
-                written = ops.write(descriptor, repaired, path=temp)
-                if written != len(repaired):
-                    raise ObserveError(f"short write to {temp}: "
-                                       f"{written}/{len(repaired)} bytes")
-                ops.fsync(descriptor)
-            finally:
-                ops.close(descriptor)
-            ops.replace(temp, str(store.path))
+            atomic_write(store.path, b"".join(keep))
         except OSError as error:
             raise ObserveError(f"fsck repair of {store.path} failed: "
                                f"{error}") from error

@@ -15,7 +15,7 @@ newest last.  Three properties matter:
   rewriting the whole file;
 * **bounded growth** — :meth:`HistoryStore.compact` keeps the newest N
   records per (bench, axis) and atomically replaces the file
-  (temp file + ``os.replace``), preserving relative order.
+  (:func:`repro.chaos.fsops.atomic_write`), preserving relative order.
 
 All critical writes go through the :func:`repro.chaos.fileops` seam and
 announce named crash points, so the chaos harness
@@ -23,7 +23,7 @@ announce named crash points, so the chaos harness
 fsck + resume recover bit-identically.
 
 The store is the single sanctioned result sink: ``hdvb-lint`` rule
-HDVB160 (:mod:`repro.analysis.persistence`) flags benchmark code that
+HDVB190 (:mod:`repro.analysis.persistence`) flags benchmark code that
 writes result dicts anywhere else.
 """
 
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.chaos.fsops import crash_point, fileops
+from repro.chaos.fsops import atomic_write, crash_point, fileops
 from repro.errors import CrashInjected, ObserveError
 from repro.observe.record import BenchRecord
 
@@ -48,9 +48,10 @@ HISTORY_FILENAME = "history.jsonl"
 #: Quarantined-corruption sidecar written by ``hdvb-observe fsck --repair``.
 QUARANTINE_FILENAME = "quarantine.jsonl"
 
-#: Temp name used by compaction; a survivor is debris from a crash
-#: between writing it and the ``os.replace`` swap, and fsck deletes it.
-COMPACT_TMP_FILENAME = HISTORY_FILENAME + ".compact.tmp"
+#: The ``atomic_write`` temp of every whole-file history rewrite
+#: (compaction, fsck repair); a survivor is debris from a crash between
+#: writing it and the swap, and fsck deletes it.
+COMPACT_TMP_FILENAME = HISTORY_FILENAME + ".tmp"
 
 #: Default per-axis retention for :meth:`HistoryStore.compact`.
 DEFAULT_KEEP_LAST = 50
@@ -261,9 +262,9 @@ class HistoryStore:
     def compact(self, keep_last: int = DEFAULT_KEEP_LAST) -> int:
         """Keep the newest ``keep_last`` records per (bench, axis).
 
-        The file is rewritten through a temp file + ``os.replace`` so a
-        reader never observes a half-written history; a crash before the
-        swap leaves the original intact plus temp debris fsck deletes.
+        The file is rewritten through :func:`atomic_write` so a reader
+        never observes a half-written history; a crash before the swap
+        leaves the original intact plus temp debris fsck deletes.
         Returns the number of records dropped.
         """
         if keep_last < 1:
@@ -285,31 +286,10 @@ class HistoryStore:
         dropped = len(records) - len(kept)
         if dropped == 0 and self.skipped_lines == 0:
             return 0
-        ops = fileops()
-        temp = str(self.compact_tmp_path)
+        payload = b"".join(_serialise(record) for record in kept)
         try:
-            descriptor = ops.open(
-                temp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-            try:
-                for record in kept:
-                    payload = _serialise(record)
-                    written = ops.write(descriptor, payload, path=temp)
-                    if written != len(payload):
-                        raise ObserveError(
-                            f"short write to {temp}: "
-                            f"{written}/{len(payload)} bytes")
-                ops.fsync(descriptor)
-            finally:
-                ops.close(descriptor)
-            crash_point("store.compact.pre_replace", temp)
-            ops.replace(temp, str(self.path))
-        except CrashInjected:
-            raise  # simulated death: leave the debris a real crash leaves
-        except (OSError, ObserveError) as error:
-            if os.path.exists(temp):
-                os.unlink(temp)
-            if isinstance(error, ObserveError):
-                raise
+            atomic_write(self.path, payload, "store.compact.pre_replace")
+        except OSError as error:
             raise ObserveError(f"compaction of {self.path} failed: "
                                f"{error}") from error
         crash_point("store.compact.post_replace", str(self.path))

@@ -16,7 +16,7 @@ discipline (everything atomic, readers never see a half-written entry)::
     <root>/<fp[:2]>/<fp>/meta.json       # fingerprint fields + metrics
     <root>/<fp[:2]>/<fp>.lock            # leader's single-flight claim
 
-Both files are written to temp names and ``os.replace``d into place;
+Both files land through :func:`repro.chaos.fsops.atomic_write`;
 ``meta.json`` lands **last** and is the commit point — an entry exists
 iff its meta file does.  Single flight across *processes* uses an
 ``O_CREAT | O_EXCL`` lock file: the first producer for a key becomes the
@@ -38,11 +38,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.chaos.fsops import crash_point, fileops
+from repro.chaos.fsops import atomic_write, crash_point, fileops
 from repro.codecs.base import EncodedVideo
 from repro.codecs.container import pack, unpack
 from repro.common.yuv import YuvSequence
-from repro.errors import CrashInjected, OrchestrateError
+from repro.errors import OrchestrateError
 from repro.telemetry.metrics import registry as telemetry_registry
 from repro.telemetry.trace import state as telemetry_state
 
@@ -257,28 +257,10 @@ class ArtifactCache:
                              metrics=dict(metrics))
 
     def _atomic_write(self, path: Path, data: bytes) -> None:
-        ops = fileops()
-        temp = str(path) + ".tmp"       # safe: writer holds the entry lock
+        # The shared ``<path>.tmp`` is safe: the writer holds the entry lock.
         try:
-            descriptor = ops.open(
-                temp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-            try:
-                written = ops.write(descriptor, data, path=temp)
-                if written != len(data):
-                    raise OrchestrateError(
-                        f"short write to {temp}: {written}/{len(data)} bytes")
-                ops.fsync(descriptor)
-            finally:
-                ops.close(descriptor)
-            crash_point("artifacts.write.pre_replace", temp)
-            ops.replace(temp, str(path))
-        except CrashInjected:
-            raise   # simulated death: leave the debris a real crash leaves
-        except (OSError, OrchestrateError) as error:
-            if os.path.exists(temp):
-                os.unlink(temp)
-            if isinstance(error, OrchestrateError):
-                raise
+            atomic_write(path, data, "artifacts.write.pre_replace")
+        except OSError as error:
             raise OrchestrateError(
                 f"cannot write cache file {path}: {error}") from error
 

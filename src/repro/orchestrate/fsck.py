@@ -26,7 +26,7 @@ Repair semantics:
 * FSCK314 — **break** the lock (through the cache's counted
   stale-lock path, so ``cache.stale_locks_broken`` telemetry fires);
 * FSCK315 — **upgrade**: compute the digest of the artifact that is
-  actually on disk and rewrite the meta atomically;
+  actually on disk and rewrite the meta with ``atomic_write``;
 * a healthy cache is never modified.
 """
 
@@ -41,6 +41,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis.findings import Finding
+from repro.chaos.fsops import atomic_write, fileops
 from repro.errors import OrchestrateError
 from repro.orchestrate.artifacts import ARTIFACT_SCHEMA, ArtifactCache
 
@@ -62,7 +63,7 @@ def _quarantine_entry(cache: ArtifactCache, entry_dir: Path) -> None:
         suffix += 1
         target = target_root / f"{entry_dir.name}.{suffix}"
     try:
-        os.replace(str(entry_dir), str(target))
+        fileops().replace(str(entry_dir), str(target))
     except OSError as error:
         raise OrchestrateError(
             f"cannot quarantine cache entry {entry_dir}: {error}") from error
@@ -123,7 +124,12 @@ def _check_entry(cache: ArtifactCache, entry_dir: Path, repair: bool,
             "run `hdvb-cache fsck --repair` to record the digest"))
         if repair:
             meta["sha256"] = hashlib.sha256(payload).hexdigest()
-            _rewrite_meta(meta_path, meta)
+            try:
+                atomic_write(meta_path, json.dumps(
+                    meta, sort_keys=True, indent=2).encode("utf-8"))
+            except OSError as error:
+                raise OrchestrateError(f"cannot rewrite cache meta "
+                                       f"{meta_path}: {error}") from error
         return
     actual_digest = hashlib.sha256(payload).hexdigest()
     if ((isinstance(expected_bytes, int) and expected_bytes != len(payload))
@@ -136,22 +142,6 @@ def _check_entry(cache: ArtifactCache, entry_dir: Path, repair: bool,
             "run `hdvb-cache fsck --repair` to quarantine the entry"))
         if repair:
             _quarantine_entry(cache, entry_dir)
-
-
-def _rewrite_meta(meta_path: Path, meta: dict) -> None:
-    temp = str(meta_path) + ".tmp"
-    payload = json.dumps(meta, sort_keys=True, indent=2).encode("utf-8")
-    try:
-        with open(temp, "wb") as handle:
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp, str(meta_path))
-    except OSError as error:
-        if os.path.exists(temp):
-            os.unlink(temp)
-        raise OrchestrateError(
-            f"cannot rewrite cache meta {meta_path}: {error}") from error
 
 
 def fsck_cache(cache: ArtifactCache, repair: bool = False,

@@ -24,7 +24,7 @@ encode without touching an encoder.  Per-cell telemetry snapshots ship
 back from pool workers and merge into the parent registry, mirroring
 ``parallel_encode``'s worker protocol.
 
-Results persist **only** via the observe store (the HDVB180 invariant)
+Results persist **only** via the observe store (the HDVB190 invariant)
 and every failure is routed through
 :class:`~repro.errors.OrchestrateError` carrying the spec name and cell
 identity; a failed cell never aborts the run — it becomes a ``failed``
@@ -34,7 +34,6 @@ record and counts against the OBS207 cell-failure-rate gate.
 from __future__ import annotations
 
 import json
-import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -42,7 +41,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from repro.chaos.fsops import crash_point
+from repro.chaos.fsops import atomic_write, crash_point
 from repro.codecs import get_decoder, get_encoder
 from repro.common.metrics import sequence_psnr
 from repro.common.resolution import tier_by_name
@@ -250,16 +249,10 @@ def write_manifests(spec: RunSpec, cells: Sequence[Cell], shards: int,
                     directory: Union[str, Path]) -> List[Path]:
     """Write one manifest file per shard; returns the paths.
 
-    Files land atomically (temp + ``os.replace``, the store discipline)
-    as ``<spec>-<fingerprint>-shard-<k>-of-<n>.json``.
+    Files land through :func:`~repro.chaos.fsops.atomic_write` as
+    ``<spec>-<fingerprint>-shard-<k>-of-<n>.json``.
     """
     directory = Path(directory)
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-    except OSError as error:
-        raise OrchestrateError(
-            f"cannot create manifest directory {directory}: {error}",
-            spec=spec.name) from error
     fingerprint = spec.fingerprint()
     paths = []
     for index, shard_cells in enumerate(plan_shards(cells, shards)):
@@ -267,21 +260,13 @@ def write_manifests(spec: RunSpec, cells: Sequence[Cell], shards: int,
         path = directory / (f"{spec.name}-{fingerprint}"
                             f"-shard-{index}-of-{shards}.json")
         payload = json.dumps(manifest, sort_keys=True, indent=2)
-        _atomic_write_text(path, payload, spec.name)
+        try:
+            atomic_write(path, payload.encode("utf-8"))
+        except OSError as error:
+            raise OrchestrateError(f"cannot write manifest {path}: {error}",
+                                   spec=spec.name) from error
         paths.append(path)
     return paths
-
-
-def _atomic_write_text(path: Path, payload: str, spec_name: str) -> None:
-    temp = path.with_name(path.name + ".tmp")
-    try:
-        with open(temp, "wb") as handle:
-            handle.write(payload.encode("utf-8"))
-        os.replace(temp, path)
-    except OSError as error:
-        raise OrchestrateError(
-            f"cannot write manifest {path}: {error}",
-            spec=spec_name) from error
 
 
 def load_manifest(path: Union[str, Path],

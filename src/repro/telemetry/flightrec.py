@@ -8,13 +8,14 @@ enabled as the event log itself — no separate switch to forget.
 
 When something dies — a ``SessionAborted``, a ``CrashInjected`` chaos
 point, an unhandled supervisor escape, a failed observe gate — the
-recorder dumps the relevant ring **atomically** (temp file + fsync +
-``os.replace``, the HDVB190 invariant) into
+recorder dumps the relevant ring **atomically**
+(:func:`repro.chaos.fsops.atomic_write`) into
 ``.hdvb-bench-history/flightrec/`` so the post-mortem is a file, not a
 memory.  Dumps carry the trigger, the error's
 :meth:`~repro.errors.ReproError.to_context_dict`, the ring events in
 canonical (bit-reproducible) form, and the spans still open at the time
-of death.
+of death.  A dump that cannot be written is dropped: the failure being
+recorded matters more than its post-mortem.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import threading
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional
 
+from repro.chaos.fsops import atomic_write
 from repro.telemetry import trace as _trace
 from repro.telemetry import events as _events
 
@@ -156,7 +158,9 @@ class FlightRecorder:
 
         A no-op (returns ``None``) while the event log is disabled: with
         nothing feeding the rings there is nothing worth persisting, and
-        the disabled path must stay free of filesystem traffic.
+        the disabled path must stay free of filesystem traffic.  Also
+        ``None`` when the dump cannot be written, so the caller goes on
+        to report the failure that triggered it.
         """
         if not _events.state.enabled:
             return None
@@ -183,7 +187,12 @@ class FlightRecorder:
         name = "{0}-{1}-{2:04d}.json".format(
             _safe(correlation_id or "global"), _safe(trigger), seq)
         path = os.path.join(target_dir, name)
-        _atomic_write_json(path, document)
+        payload = json.dumps(document, sort_keys=True, indent=2,
+                             default=str).encode("utf-8")
+        try:
+            atomic_write(path, payload)
+        except OSError:
+            return None
         with self._lock:
             self.dumps.append(path)
         return path
@@ -212,23 +221,6 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, dict):
         return {str(key): _jsonable(item) for key, item in value.items()}
     return str(value)
-
-
-def _atomic_write_json(path: str, document: Dict[str, Any]) -> None:
-    """temp file + fsync + ``os.replace`` — a crash leaves old-or-new,
-    never a torn dump (the HDVB190 invariant)."""
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    payload = json.dumps(document, sort_keys=True, indent=2,
-                         default=str).encode("utf-8")
-    temp_path = path + ".tmp"
-    fd = os.open(temp_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-    try:
-        os.write(fd, payload)
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-    os.replace(temp_path, path)
 
 
 #: The process-global recorder.

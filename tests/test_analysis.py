@@ -51,9 +51,9 @@ class TestEngineBasics:
         ids = [rule.rule_id for rule in all_rules()]
         assert ids == sorted(ids)
         assert {"HDVB101", "HDVB102", "HDVB110", "HDVB111", "HDVB120",
-                "HDVB130", "HDVB140", "HDVB150", "HDVB160", "HDVB170",
-                "HDVB180", "HDVB190", "HDVB200", "HDVB201", "HDVB202",
-                "HDVB203", "HDVB210"} <= set(ids)
+                "HDVB130", "HDVB140", "HDVB150", "HDVB170", "HDVB190",
+                "HDVB200", "HDVB201", "HDVB202", "HDVB203",
+                "HDVB210"} <= set(ids)
         for rule in all_rules():
             assert rule.name and rule.rationale, rule.rule_id
 
@@ -453,7 +453,7 @@ class TestResultSinkRule:
                 with open(path) as handle:
                     json.dump(rows, handle)
         """})
-        assert rule_ids(result) == ["HDVB160"]
+        assert rule_ids(result) == ["HDVB190"]
 
     def test_json_dump_from_import_flagged(self, tmp_path):
         result = lint_tree(tmp_path, {"robustness/bench.py": """
@@ -462,7 +462,7 @@ class TestResultSinkRule:
             def save(rows, handle):
                 dump(rows, handle)
         """})
-        assert rule_ids(result) == ["HDVB160"]
+        assert rule_ids(result) == ["HDVB190"]
 
     def test_open_for_writing_flagged(self, tmp_path):
         result = lint_tree(tmp_path, {"transport/bench.py": """
@@ -470,7 +470,7 @@ class TestResultSinkRule:
                 with open(path, "w", encoding="utf-8") as handle:
                     handle.write(text)
         """})
-        assert rule_ids(result) == ["HDVB160"]
+        assert rule_ids(result) == ["HDVB190"]
 
     def test_append_mode_keyword_flagged(self, tmp_path):
         result = lint_tree(tmp_path, {"bench/sweep.py": """
@@ -478,7 +478,7 @@ class TestResultSinkRule:
                 with open(path, mode="a") as handle:
                     handle.write(text)
         """})
-        assert rule_ids(result) == ["HDVB160"]
+        assert rule_ids(result) == ["HDVB190"]
 
     def test_clean_twin_uses_the_store(self, tmp_path):
         result = lint_tree(tmp_path, {"bench/sweep.py": """
@@ -513,7 +513,7 @@ class TestResultSinkRule:
     def test_inline_suppression(self, tmp_path):
         result = lint_tree(tmp_path, {"bench/sweep.py": """
             def save(text, path):
-                with open(path, "w") as handle:  # hdvb: disable=HDVB160
+                with open(path, "w") as handle:  # hdvb: disable=HDVB190
                     handle.write(text)
         """})
         assert result.clean
@@ -731,7 +731,7 @@ class TestCli:
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule_id in ("HDVB101", "HDVB110", "HDVB120", "HDVB130",
-                        "HDVB140", "HDVB150", "HDVB160"):
+                        "HDVB140", "HDVB150", "HDVB190"):
             assert rule_id in out
 
     def test_write_baseline_round_trip(self, tmp_path, capsys):
@@ -834,7 +834,7 @@ class TestOrchestratorCellRule:
             def parse(value):
                 raise ValueError(f"bad spec value {value!r}")
         """})
-        assert rule_ids(result) == ["HDVB180"]
+        assert rule_ids(result) == ["HDVB110"]
 
     def test_json_dump_sink_flagged(self, tmp_path):
         result = lint_tree(tmp_path, {"orchestrate/evil.py": """
@@ -843,16 +843,16 @@ class TestOrchestratorCellRule:
             def save(results, handle):
                 json.dump(results, handle)
         """})
-        assert rule_ids(result) == ["HDVB180"]
+        assert rule_ids(result) == ["HDVB190"]
 
     def test_text_write_sink_flagged(self, tmp_path):
-        # Also a non-atomic write, so the HDVB190 atomicity rule co-fires.
+        # Also a non-atomic write: one finding per call, not two.
         result = lint_tree(tmp_path, {"orchestrate/evil.py": """
             def save(results, path):
                 with open(path, "w") as handle:
                     handle.write(str(results))
         """})
-        assert sorted(rule_ids(result)) == ["HDVB180", "HDVB190"]
+        assert rule_ids(result) == ["HDVB190"]
 
     def test_binary_atomic_write_is_legal(self, tmp_path):
         # Artifact/manifest files are binary temp+replace writes -- the

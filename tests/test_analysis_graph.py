@@ -828,6 +828,32 @@ class TestPruneStale:
         capsys.readouterr()
         assert baseline_path.read_bytes() == first
 
+    def test_write_fault_leaves_the_baseline_byte_identical(self, tmp_path,
+                                                            capsys):
+        from repro.chaos import ChaosFS, FaultPlan, activate
+
+        write_tree(tmp_path, {"codecs/dec.py": """
+            def parse(v):
+                raise ValueError(v)
+        """})
+        baseline_path = tmp_path / "baseline.json"
+        baseline_path.write_text(json.dumps({
+            "schema": "repro.analysis.baseline/1",
+            "entries": [{"rule": "HDVB101", "module": "codecs/gone.py",
+                         "message": "stale", "reason": "dead"}],
+        }, indent=2))
+        before = baseline_path.read_bytes()
+        for flag in ("--prune-stale", "--write-baseline"):
+            plan = FaultPlan(seed=0, rate=1.0, kinds=["enospc"],
+                             ops=["write"])
+            with activate(ChaosFS(plan)):
+                assert lint_main([str(tmp_path), "--baseline",
+                                  str(baseline_path), flag]) == 2
+            assert "cannot write baseline" in capsys.readouterr().err
+            assert plan.injected
+            assert baseline_path.read_bytes() == before
+            assert not Path(str(baseline_path) + ".tmp").exists()
+
 
 class TestGraphExport:
     def test_json_document_schema_and_determinism(self, tmp_path, capsys):

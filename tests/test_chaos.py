@@ -1,11 +1,13 @@
 """Tests for ``repro.chaos`` — fault injection, fsck and crash recovery.
 
-Four layers:
+Five layers:
 
 * the seeded :class:`FaultPlan` is deterministic (same seed → same fault
   sequence) and validates itself loudly;
 * every injected fault class surfaces as a contextful ``ReproError``
   from the production code paths, never an unhandled crash;
+* every durable writer, under every fault on its temp file, fails the
+  way it documents and leaves neither a torn destination nor a temp;
 * fsck detects each planted corruption (torn tail, mangled line,
   bit-flipped artifact, orphan temp, stale lock), repairs to a clean
   re-check, and never touches a healthy store or cache;
@@ -46,7 +48,11 @@ from repro.errors import (
 from repro.observe.fsck import FSCK_SCHEMA, QUARANTINE_SCHEMA, fsck_store
 from repro.observe.record import BenchRecord, RunInfo
 from repro.observe.store import HistoryStore
-from repro.orchestrate.artifacts import ArtifactCache, cell_fingerprint
+from repro.orchestrate.artifacts import (
+    ARTIFACT_SCHEMA,
+    ArtifactCache,
+    cell_fingerprint,
+)
 from repro.orchestrate.cache_cli import main as cache_main
 from repro.orchestrate.fsck import fsck_cache
 from repro.orchestrate.scheduler import run_cells
@@ -296,6 +302,18 @@ class TestStoreFsck:
         assert base64.b64decode(envelopes[0]["data"]) == b'{"mangled'
         assert envelopes[1]["reason"] == "truncated-tail"
 
+    def test_cli_reports_and_deletes_repair_debris(self, tmp_path):
+        # A repair that died mid-rewrite leaves the same ``<history>.tmp``
+        # a compaction would: one FSCK303 covers both.
+        store = HistoryStore(str(tmp_path / "hist"))
+        store.append(record())
+        Path(str(store.path) + ".tmp").write_bytes(b"half a repair")
+        root = str(store.root)
+        assert observe_main(["fsck", "--store", root]) == 1
+        assert observe_main(["fsck", "--repair", "--store", root]) == 0
+        assert not store.compact_tmp_path.exists()
+        assert observe_main(["fsck", "--store", root]) == 0
+
     def test_repair_deletes_orphan_compact_temp(self, tmp_path):
         store = HistoryStore(str(tmp_path / "hist"))
         store.append(record())
@@ -379,6 +397,18 @@ class TestCacheFsck:
         assert not orphan.exists() and not shard_orphan.exists()
         assert fsck_cache(cache) == []
 
+    def test_failed_quarantine_is_an_error_and_flagged_again(self, tmp_path):
+        cache = ArtifactCache(str(tmp_path / "cache"))
+        entry_dir = cache.root / "ab" / "ab00"
+        entry_dir.mkdir(parents=True)
+        (entry_dir / "meta.json").write_text("{not json")
+        plan = FaultPlan(seed=0, rate=1.0, kinds=["oserror"], ops=["replace"])
+        with activate(ChaosFS(plan)):
+            with pytest.raises(OrchestrateError, match="cannot quarantine"):
+                fsck_cache(cache, repair=True)
+        assert entry_dir.is_dir()
+        assert [f.rule_id for f in fsck_cache(cache)] == ["FSCK311"]
+
     def test_stale_lock_broken_and_counted(self, tmp_path):
         cache, entry_dir = _committed_entry(tmp_path)
         lock = entry_dir.parent / (entry_dir.name + ".lock")
@@ -426,6 +456,165 @@ class TestCacheFsck:
         assert cache_main(["fsck", "--cache", root]) == 0
         assert cache_main(["stats", "--cache", root]) == 0
         assert "1 quarantined" in capsys.readouterr().out
+
+
+# ----------------------------------------------------------------------
+# every durable writer under every fault on its temp file
+# ----------------------------------------------------------------------
+
+
+class _TempFileFaults(FaultPlan):
+    """A plan that faults only ``.tmp`` files: the write of an
+    ``atomic_write``, not the locks, appends and reads around it."""
+
+    def draw(self, op, path=""):
+        if not path.endswith(".tmp"):
+            return None
+        return super().draw(op, path)
+
+
+def _dump_with_events_on(recorder):
+    from repro.telemetry import events
+
+    events.enable()
+    try:
+        return recorder.dump("matrix")
+    finally:
+        events.disable()
+        events.reset()
+
+
+def _flight_dump(tmp_path):
+    from repro.telemetry.flightrec import FlightRecorder
+
+    recorder = FlightRecorder(dump_dir=str(tmp_path / "flightrec"))
+    return (tmp_path / "flightrec" / "global-matrix-0001.json",
+            lambda: _dump_with_events_on(recorder), None)
+
+
+def _lint_cache(tmp_path):
+    import ast
+
+    from repro.analysis.cache import LintCache
+
+    cache = LintCache(tmp_path / "lint-cache")
+    destination = tmp_path / "lint-cache" / "ast" / "feed.pkl"
+    destination.parent.mkdir(parents=True)
+    destination.write_bytes(b"old pickle")
+    return (destination,
+            lambda: cache.store_tree("feed", ast.parse("x = 1")), None)
+
+
+def _shard_manifest(tmp_path):
+    from repro.orchestrate.scheduler import write_manifests
+    from repro.orchestrate.spec import expand_cells
+
+    spec = parse_spec(DEFAULT_SPEC)
+    directory = tmp_path / "manifests"
+    destination = directory / (f"{spec.name}-{spec.fingerprint()}"
+                               f"-shard-0-of-1.json")
+    directory.mkdir()
+    destination.write_bytes(b"old manifest")
+    return (destination,
+            lambda: write_manifests(spec, expand_cells(spec), 1, directory),
+            OrchestrateError)
+
+
+def _cache_meta_upgrade(tmp_path):
+    cache = ArtifactCache(str(tmp_path / "cache"))
+    entry_dir = cache.root / "ab" / "ab00"
+    entry_dir.mkdir(parents=True)
+    (entry_dir / "artifact.hdvb").write_bytes(b"data")
+    destination = entry_dir / "meta.json"
+    destination.write_text(json.dumps({"schema": ARTIFACT_SCHEMA,
+                                       "bytes": 4}))
+    return (destination, lambda: fsck_cache(cache, repair=True),
+            OrchestrateError)
+
+
+def _cache_artifact(tmp_path):
+    from repro.codecs.base import EncodedVideo
+
+    cache = ArtifactCache(str(tmp_path / "cache"))
+    fingerprint = cell_fingerprint("mjpeg", "seq-hash", {"qscale": 8}, 1)
+
+    def produce():
+        return EncodedVideo("mjpeg", 16, 16, 25), {"psnr_db": 30.0}
+
+    return (cache.root / fingerprint[:2] / fingerprint / "artifact.hdvb",
+            lambda: cache.ensure(fingerprint, produce), OrchestrateError)
+
+
+def _store_compaction(tmp_path):
+    store = HistoryStore(str(tmp_path / "hist"))
+    store.append_many([record(run=f"r{i}") for i in range(3)])
+    return store.path, lambda: store.compact(keep_last=1), ObserveError
+
+
+def _store_fsck_rebuild(tmp_path):
+    store = HistoryStore(str(tmp_path / "hist"))
+    store.append(record())
+    with open(store.path, "ab") as handle:
+        handle.write(b'{"mangled\n')
+    return store.path, lambda: fsck_store(store, repair=True), ObserveError
+
+
+def _lint_baseline(tmp_path):
+    from repro.analysis import BaselineError, write_baseline
+    from repro.analysis.findings import Finding
+
+    destination = tmp_path / ".hdvb-lint-baseline.json"
+    write_baseline(destination, [])
+    finding = Finding(rule_id="HDVB110", path="codecs/dec.py", line=3,
+                      message="planted", module="codecs/dec.py")
+    return (destination, lambda: write_baseline(destination, [finding]),
+            BaselineError)
+
+
+#: writer -> setup(tmp_path) returning (destination, write, failure):
+#: ``failure`` is the exception the writer documents, or ``None`` for the
+#: writers that report a failed write by returning ``None``.
+DURABLE_WRITERS = {
+    "flight-dump": _flight_dump,
+    "lint-cache": _lint_cache,
+    "shard-manifest": _shard_manifest,
+    "cache-meta-upgrade": _cache_meta_upgrade,
+    "cache-artifact": _cache_artifact,
+    "store-compaction": _store_compaction,
+    "store-fsck-rebuild": _store_fsck_rebuild,
+    "lint-baseline": _lint_baseline,
+}
+
+#: Every way the temp write can fail, as (op, fault kind).
+TEMP_WRITE_FAULTS = {
+    "open-oserror": ("open", "oserror"),
+    "write-enospc": ("write", "enospc"),
+    "short-write": ("write", "short_write"),
+    "fsync-oserror": ("fsync", "oserror"),
+    "replace-oserror": ("replace", "oserror"),
+}
+
+
+class TestDurableWriterFaults:
+    @pytest.mark.parametrize("fault", sorted(TEMP_WRITE_FAULTS))
+    @pytest.mark.parametrize("writer", sorted(DURABLE_WRITERS))
+    def test_fault_fails_cleanly_and_keeps_the_old_bytes(
+            self, tmp_path, writer, fault):
+        destination, write, failure = DURABLE_WRITERS[writer](tmp_path)
+        old = destination.read_bytes() if destination.exists() else None
+        op, kind = TEMP_WRITE_FAULTS[fault]
+        plan = _TempFileFaults(seed=0, rate=1.0, kinds=[kind], ops=[op])
+        with activate(ChaosFS(plan)):
+            if failure is None:
+                assert write() is None
+            else:
+                with pytest.raises(failure):
+                    write()
+        assert [(f.op, f.kind) for f in plan.injected] == [(op, kind)]
+        # The write failed, so old-or-new means old (or still absent).
+        new = destination.read_bytes() if destination.exists() else None
+        assert new == old
+        assert sorted(tmp_path.rglob("*.tmp")) == []
 
 
 # ----------------------------------------------------------------------
@@ -532,6 +721,23 @@ class TestCrashFlightDumps:
         for event in dump["events"]:
             assert event["schema"] == "repro.telemetry.event/1"
             assert {"wall", "pid", "tid"}.isdisjoint(event)
+
+    def test_crash_survives_a_dump_that_faults(self, tmp_path):
+        from repro.telemetry import events
+
+        dump_dir = tmp_path / "flightrec"
+        events.enable()
+        store = HistoryStore(str(tmp_path / "hist"))
+        plan = FaultPlan(seed=0, rate=1.0, kinds=["oserror"]).crash_at(
+            "store.append.pre_write")
+        with activate(ChaosFS(plan)) as fs:
+            with pytest.raises(CrashInjected):
+                store.append(record())
+        # The crash fired before the store's own open: the one fault hit
+        # the dump's temp file, and the dump gave way to the crash.
+        assert [(f.op, f.path) for f in fs.injected] == [
+            ("open", str(dump_dir / "global-crash-injected-0001.json.tmp"))]
+        assert list(dump_dir.iterdir()) == []
 
     def test_crash_timeline_reconstructs_identically(self, tmp_path):
         from repro.observe.timeline import build_timeline

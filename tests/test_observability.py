@@ -211,6 +211,71 @@ class TestFlightRecorder:
         for event in document["events"]:
             assert {"wall", "pid", "tid"}.isdisjoint(event)
 
+    @staticmethod
+    def _unwritable_dump_dir(tmp_path):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        flightrec.recorder.configure(dump_dir=str(blocker / "flightrec"))
+
+    def test_unwritable_dump_returns_none(self, tmp_path):
+        self._unwritable_dump_dir(tmp_path)
+        events.enable()
+        assert flightrec.recorder.dump("session.aborted") is None
+        assert flightrec.recorder.dumps == []
+
+    def test_failed_cell_survives_an_unwritable_dump(self, tmp_path,
+                                                     monkeypatch):
+        import repro.orchestrate.scheduler as scheduler
+        from repro.chaos.harness import DEFAULT_SPEC
+        from repro.errors import OrchestrateError
+        from repro.orchestrate.artifacts import ArtifactCache
+        from repro.orchestrate.spec import expand_cells, parse_spec
+
+        def failing_measure(cell, cache):
+            raise OrchestrateError("injected cell failure")
+
+        monkeypatch.setattr(scheduler, "_measure_cell", failing_measure)
+        self._unwritable_dump_dir(tmp_path)
+        events.enable()
+        cell = expand_cells(parse_spec(DEFAULT_SPEC))[0]
+        result = scheduler.execute_cell(
+            cell, ArtifactCache(str(tmp_path / "cache")))
+        assert result.status == "failed"
+        assert "injected cell failure" in result.error
+
+    def test_session_abort_survives_an_unwritable_dump(self, tmp_path):
+        import asyncio
+
+        from repro.origin import clock
+        from repro.origin.server import Origin, OriginConfig
+        from repro.origin.session import (
+            ClientProfile, SessionConfig, StreamSessionRunner,
+        )
+
+        # Two nacked pictures exhaust a budget of one: the abort path.
+        config = SessionConfig(decode=False, failure_budget=1)
+        origin = Origin(OriginConfig(frames=4, encode_seconds=0.05,
+                                     session=config))
+        profile = ClientProfile(session_id="s-dump", seed=4, codec="h264",
+                                render_seconds=0.005,
+                                chaos={0: (("nack",),), 1: (("nack",),)})
+        runner = StreamSessionRunner(profile, config, origin.cache,
+                                     origin.supervisor)
+
+        async def main():
+            task = origin.supervisor.spawn(runner.run(), profile.session_id)
+            await asyncio.wait({task})
+            # Bounded (virtual seconds): a skipped teardown leaves the
+            # reader task waiting forever.
+            await origin.supervisor.drain(timeout=60.0)
+
+        self._unwritable_dump_dir(tmp_path)
+        events.enable()
+        clock.run(main())
+        assert runner.result.aborted
+        assert runner.result.final_state == "closed"    # torn down
+        assert not origin.supervisor.unhandled
+
     def test_dump_captures_open_spans(self):
         events.enable()
         trace.enable()
