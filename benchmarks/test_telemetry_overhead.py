@@ -99,7 +99,7 @@ def test_disabled_overhead_under_two_percent(video):
         _encode_seconds(video)
     finally:
         telemetry.disable()
-    span_sites = len(telemetry.current_trace())
+    span_sites = len(telemetry.current_trace().spans())
     search_sites = int(telemetry.registry().value("me.search.calls"))
     touch_points = span_sites + search_sites
     assert span_sites >= FRAMES       # sequence span + one per picture
@@ -131,25 +131,24 @@ def test_disabled_overhead_under_two_percent(video):
 def _serve_once(events_on: bool):
     """One tiny seeded serve; (wall seconds, events emitted)."""
     from repro.origin.bench import run_serve
-    from repro.telemetry import events
 
-    events.reset()
+    telemetry.reset()
     if events_on:
-        events.enable()
+        telemetry.enable()
     try:
         reports = run_serve(clients=6, seeds=(3,), frames=8,
                             chaos_rate=0.5)
     finally:
-        emitted = len(events.current_log())
-        events.disable()
-        events.reset()
+        emitted = len(telemetry.current_trace().events())
+        telemetry.disable()
+        telemetry.reset()
     return reports[0].wall_seconds, emitted
 
 
 def test_disabled_event_log_under_two_percent(tmp_path):
     """Disabled emit() cost x sites reached < 2% of the serve wall time."""
     from repro.telemetry import flightrec
-    from repro.telemetry.events import emit, state as event_state
+    from repro.telemetry.events import emit
 
     flightrec.recorder.configure(dump_dir=str(tmp_path / "flightrec"))
     serve_seconds, _ = _serve_once(events_on=False)
@@ -161,7 +160,7 @@ def test_disabled_event_log_under_two_percent(tmp_path):
     for _ in range(probes):
         emit("session.state", state="probe")
     noop_seconds = (time.perf_counter() - start) / probes
-    assert not event_state.enabled
+    assert not state.enabled
 
     projected = emit_count * noop_seconds
     ratio = projected / serve_seconds
@@ -174,15 +173,15 @@ def test_disabled_event_log_under_two_percent(tmp_path):
 
 def test_enabled_event_log_under_five_percent(tmp_path):
     """Enabled emit+ring cost x sites reached < 5% of the serve wall."""
-    from repro.telemetry import events, flightrec
+    from repro.telemetry import flightrec
     from repro.telemetry.events import correlation_scope, emit
 
     flightrec.recorder.configure(dump_dir=str(tmp_path / "flightrec"))
     serve_seconds, _ = _serve_once(events_on=False)
     _, emit_count = _serve_once(events_on=True)
 
-    events.reset()
-    events.enable()
+    telemetry.reset()
+    telemetry.enable()
     probes = 50_000
     try:
         with correlation_scope(session_id="bench"):
@@ -191,8 +190,8 @@ def test_enabled_event_log_under_five_percent(tmp_path):
                 emit("session.state", state=index, t=0.0)
             enabled_seconds = (time.perf_counter() - start) / probes
     finally:
-        events.disable()
-        events.reset()
+        telemetry.disable()
+        telemetry.reset()
 
     projected = emit_count * enabled_seconds
     ratio = projected / serve_seconds

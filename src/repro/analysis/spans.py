@@ -4,10 +4,10 @@
 recorded by ``__exit__``.  A span that is called and discarded, or
 assigned to a variable that never reaches a ``with`` statement, *never
 records anything* — and worse, if someone calls ``__enter__`` by hand
-and an exception skips the exit, the thread's span stack corrupts and
-every subsequent span nests under the leaked parent.  The telemetry
-overhead gate (<2 %) also assumes the no-op fast path of the ``with``
-protocol.  HDVB150 enforces the only safe shape::
+and an exception skips the exit, the span stays the open parent of its
+thread or task and every subsequent span there nests under it.  The
+telemetry overhead gate (<2 %) also assumes the no-op fast path of the
+``with`` protocol.  HDVB150 enforces the only safe shape::
 
     with span("name", attr=...):           # direct
         ...
@@ -64,8 +64,9 @@ class SpanContextRule(Rule):
     name = "span-context"
     rationale = (
         "a span records itself in __exit__; opening one outside a with "
-        "block either records nothing (discarded handle) or corrupts the "
-        "thread's span stack (manual __enter__ without a guaranteed exit)"
+        "block either records nothing (discarded handle) or leaves it the "
+        "parent of every later span (manual __enter__ without a "
+        "guaranteed exit)"
     )
     hint = "wrap the call: `with span(...):` (a named handle must be entered too)"
 

@@ -26,6 +26,7 @@ import sys
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
+import repro.telemetry as telemetry
 from repro.bench import commands as commands_module
 from repro.bench import registry_tables
 from repro.bench.config import BenchConfig
@@ -249,9 +250,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     sv.add_argument("--ramp", type=float, default=2.0,
                     help="arrival ramp window in virtual seconds")
     sv.add_argument("--events", default="", metavar="PATH",
-                    help="enable the structured event log for the run and "
-                         "write its canonical JSONL here (bit-reproducible "
-                         "per seed); flight dumps land in STORE/flightrec")
+                    help="enable telemetry for the run and write its "
+                         "canonical event JSONL here (bit-reproducible per "
+                         "seed); flight dumps land in STORE/flightrec")
     sv.add_argument("--failure-budget", type=int, default=-1,
                     dest="failure_budget",
                     help="transient failures a session tolerates before "
@@ -451,15 +452,7 @@ def _dispatch(args) -> int:
                                 "chaos": args.chaos})
         events_path = getattr(args, "events", "")
         if events_path:
-            import os as _os
-
-            from repro.telemetry import events as _events
-            from repro.telemetry import flightrec as _flightrec
-
-            _events.reset()
-            _flightrec.recorder.configure(
-                dump_dir=_os.path.join(args.store, "flightrec"))
-            _events.enable()
+            _start_telemetry(args)
         session_config = None
         if args.failure_budget >= 0:
             from repro.origin.session import SessionConfig
@@ -480,15 +473,15 @@ def _dispatch(args) -> int:
             )
         finally:
             if events_path:
-                log = _events.current_log()
+                log = telemetry.current_trace()
                 # An event log is a report, not durable state: the next
                 # run with --events rewrites it whole.
                 with open(events_path, "w",  # hdvb: disable=HDVB190
                           encoding="utf-8") as handle:
-                    handle.write(log.to_jsonl(canonical=True))
-                print(f"hdvb-bench serve: wrote {len(log)} event(s) to "
-                      f"{events_path}", file=sys.stderr)
-                _events.disable()
+                    handle.write(log.to_jsonl())
+                print(f"hdvb-bench serve: wrote {len(log.events())} "
+                      f"event(s) to {events_path}", file=sys.stderr)
+                telemetry.disable()
         _emit(args, render_serve(reports),
               records_from_serve(reports, info), info)
     elif args.command == "orchestrate":
@@ -569,18 +562,29 @@ def _run_orchestrate(args) -> int:
     return 0
 
 
+def _start_telemetry(args) -> None:
+    """Reset telemetry and turn its one switch on, with flight dumps
+    under the run's store."""
+    import os
+
+    from repro.telemetry import flightrec
+
+    telemetry.reset()
+    flightrec.recorder.configure(dump_dir=os.path.join(args.store,
+                                                       "flightrec"))
+    telemetry.enable()
+
+
 def _run_performance_command(args) -> None:
     """``hdvb-bench performance``: fps table + telemetry stage breakdown."""
     import time
 
-    import repro.telemetry as telemetry
     from repro.bench.report import render_telemetry_section
     from repro.observe.record import records_from_performance
 
     config = _config_from_args(args)
     info = _run_info(args, config)
-    telemetry.reset()
-    telemetry.enable()
+    _start_telemetry(args)
     try:
         wall_start = time.perf_counter()
         rows = run_performance(config, args.operation, args.backend,
@@ -615,7 +619,7 @@ def _run_performance_command(args) -> None:
         with open(args.trace, "w", encoding="utf-8") as handle:  # hdvb: disable=HDVB190
             handle.write(payload)
         print(f"trace written to {args.trace} ({args.trace_format} format, "
-              f"{len(trace)} spans)", file=sys.stderr)
+              f"{len(trace.spans())} spans)", file=sys.stderr)
 
 
 def _run_bdrate(args) -> None:

@@ -124,6 +124,6 @@ def render_telemetry_section(trace, registry,
         parts.append(render_table(["metric", "kind", "value"], metric_rows,
                                   title="Telemetry: metrics"))
     if trace.dropped:
-        parts.append(f"(note: {trace.dropped} spans dropped at the "
-                     f"{trace.max_spans}-span buffer cap)")
+        parts.append(f"(note: {trace.dropped} records dropped at the "
+                     f"{trace.max_records}-record buffer cap)")
     return "\n\n".join(parts)

@@ -196,14 +196,15 @@ class ChaosFS(FileOps):
 def _flight_dump_crash(name: str, path: str) -> None:
     """Record the injected death on the flight recorder *before* dying.
 
-    Runs only when the event log is enabled; emits the ``crash.injected``
+    Runs only when telemetry is enabled; emits the ``crash.injected``
     event so the dumped ring's last entry names the crash point, then
     writes the post-mortem.  Crucially this happens before ``os._exit``
     in hard-crash mode — exactly like a real black box, the dump is the
     only survivor of the process.
     """
     from repro.telemetry import flightrec
-    from repro.telemetry.events import emit, enabled
+    from repro.telemetry.events import emit
+    from repro.telemetry.trace import enabled
     if not enabled():
         return
     emit("crash.injected", crash_point=name, path=path)

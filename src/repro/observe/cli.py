@@ -279,7 +279,7 @@ def _cmd_gate(options: argparse.Namespace) -> int:
     findings = detect_regressions(store, bench=options.bench, config=config)
     if findings:
         # A failed gate is a post-mortem moment: snapshot whatever the
-        # flight recorder holds (no-op while the event log is off).
+        # flight recorder holds (no-op while telemetry is off).
         from repro.telemetry import flightrec
 
         flightrec.recorder.dump(

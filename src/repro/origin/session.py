@@ -62,6 +62,7 @@ from repro.telemetry.metrics import (
     LATENCY_BUCKETS,
     MetricsRegistry,
 )
+from repro.telemetry.trace import state as telemetry_state
 from repro.transport.channel import Arrival, LossyChannel
 from repro.transport.fec import fec_encode
 from repro.transport.packetize import Packet, StreamSession, packetize
@@ -300,8 +301,8 @@ class StreamSessionRunner:
 
     def _emit(self, name: str, **fields: object) -> None:
         """Emit an event stamped with virtual time (one flag check when
-        the event log is disabled, before any loop access)."""
-        if not _events.state.enabled:
+        telemetry is disabled, before any loop access)."""
+        if not telemetry_state.enabled:
             return
         try:
             t = asyncio.get_running_loop().time()

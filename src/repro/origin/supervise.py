@@ -23,7 +23,8 @@ from typing import Any, Coroutine, Dict, List, Optional, Set
 
 from repro.errors import ReproError
 from repro.telemetry import flightrec
-from repro.telemetry.events import correlation_scope, emit, enabled
+from repro.telemetry.events import correlation_scope, emit
+from repro.telemetry.trace import enabled
 
 
 @dataclass

@@ -2,8 +2,14 @@
 
 A zero-dependency observability subsystem, **off by default**:
 
-* :mod:`repro.telemetry.trace` — nestable, thread/process-safe spans
-  with JSON and Chrome ``chrome://tracing`` export;
+* :mod:`repro.telemetry.trace` — the one record log (nestable,
+  thread-, task- and process-safe spans plus the correlated events),
+  the one on/off switch and the one reset; JSON, Chrome
+  ``chrome://tracing`` and canonical event JSONL exports;
+* :mod:`repro.telemetry.events` — the event vocabulary, correlation
+  scopes and ``emit()``;
+* :mod:`repro.telemetry.flightrec` — the flight recorder, the log's
+  sink, which dumps post-mortems when something dies;
 * :mod:`repro.telemetry.metrics` — counters, gauges and fixed-bucket
   histograms in a process-global registry with snapshot/merge for
   multiprocess aggregation;
@@ -26,8 +32,9 @@ Quickstart::
     bits = telemetry.registry().value("encode.mpeg2.bits")
     open("out.json", "w").write(telemetry.current_trace().to_chrome_json())
 
-Front ends: ``hdvb-bench performance --trace out.json`` and
-``hdvb-player FILE --stats``.  See ``docs/TELEMETRY.md``.
+Front ends: ``hdvb-bench performance --trace out.json``,
+``hdvb-bench serve --events ev.jsonl`` and ``hdvb-player FILE --stats``.
+See ``docs/TELEMETRY.md``.
 """
 
 from __future__ import annotations
@@ -39,7 +46,6 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
     MetricsSnapshot,
     registry,
-    reset_registry,
 )
 from repro.telemetry.profile import (
     StageRow,
@@ -56,10 +62,10 @@ from repro.telemetry.trace import (
     disable,
     enable,
     enabled,
+    reset,
     span,
     state,
 )
-from repro.telemetry.trace import reset as _reset_trace
 
 __all__ = [
     "Counter",
@@ -80,14 +86,8 @@ __all__ = [
     "registry",
     "render_stage_table",
     "reset",
-    "reset_registry",
     "span",
     "stage_table",
     "state",
 ]
 
-
-def reset() -> None:
-    """Clear buffered spans *and* the process-global metrics registry."""
-    _reset_trace()
-    reset_registry()

@@ -1,29 +1,31 @@
-"""Correlated structured event log (``repro.telemetry.event/1``).
+"""Correlated structured events (``repro.telemetry.event/1``).
 
-Where :mod:`repro.telemetry.trace` answers *where did the time go*, this
-module answers *what happened, in what order, to which session*.  Events
-are discrete, schema-versioned records emitted at state transitions —
-a session degrading a rung, a cell failing, a chunk falling back to the
-serial path — and every event carries the **correlation ids** of the
-scope it happened in::
+Where spans answer *where did the time go*, events answer *what
+happened, in what order, to which session*.  Events are discrete,
+schema-versioned records emitted at state transitions — a session
+degrading a rung, a cell failing, a chunk falling back to the serial
+path — and every event carries the **correlation ids** of the scope it
+happened in::
 
-    from repro.telemetry.events import correlation_scope, emit, enable
+    from repro.telemetry import enable
+    from repro.telemetry.events import correlation_scope, emit
 
     enable()
     with correlation_scope(session_id="s0042"):
         emit("session.state", state="streaming")
 
-Like tracing, the event log is **off by default**: :func:`emit` costs a
-single flag check when disabled (no allocation, no contextvar read), so
-instrumented seams stay inside the telemetry overhead gate.  When
-enabled, events are buffered process-globally (thread-safe, bounded) and
-mirrored into the :mod:`repro.telemetry.flightrec` ring buffers.
+This module keeps the event vocabulary, the correlation scopes and
+:func:`emit`; the events themselves go into the one record log of
+:mod:`repro.telemetry.trace`, behind its one switch.  :func:`emit`
+costs a single flag check while telemetry is disabled (no allocation,
+no contextvar read), so instrumented seams stay inside the telemetry
+overhead gate.
 
 Determinism: the canonical export (:meth:`Event.canonical_dict`,
-:meth:`EventLog.to_jsonl`) deliberately excludes wall-clock time, pid
-and tid so a seeded run produces a **bit-identical** event log; virtual
-time from the deterministic origin loop travels as an ordinary ``t``
-field supplied by the emitter.
+:meth:`~repro.telemetry.trace.Trace.to_jsonl`) deliberately excludes
+wall-clock time, pid and tid so a seeded run produces a
+**bit-identical** event log; virtual time from the deterministic origin
+loop travels as an ordinary ``t`` field supplied by the emitter.
 
 Event names come from the frozen :data:`EVENT_NAMES` registry (enforced
 here at runtime and by lint rule HDVB210 statically); correlation scopes
@@ -34,33 +36,27 @@ through ``asyncio`` task creation and ``with`` blocks alike.
 from __future__ import annotations
 
 import json
+import os
 import threading
+import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
+
+from repro.telemetry.trace import _jsonable, state as _state
 
 __all__ = [
     "EVENT_NAMES",
     "EVENT_SCHEMA",
     "Event",
-    "EventLog",
     "correlation_id",
     "correlation_scope",
     "current_correlation",
-    "current_log",
-    "disable",
     "emit",
-    "enable",
-    "enabled",
-    "reset",
 ]
 
 #: Schema identifier stamped on every exported event.
 EVENT_SCHEMA = "repro.telemetry.event/1"
-
-#: Default cap on buffered events; beyond it events are counted, dropped
-#: from the log, but still fed to the flight-recorder rings.
-DEFAULT_MAX_EVENTS = 200_000
 
 #: The frozen event-name registry.  ``emit()`` rejects names outside it
 #: and lint rule HDVB210 enforces the same set statically, so the
@@ -100,15 +96,17 @@ EVENT_NAMES: Tuple[str, ...] = (
 _EVENT_NAME_SET = frozenset(EVENT_NAMES)
 
 #: Correlation-id keys ordered most-specific first; :func:`correlation_id`
-#: picks the first one present in the active scope.
+#: picks the first one present.
 _ID_PRECEDENCE = ("session_id", "cell_id", "run_id")
 
 
 class Event:
-    """One emitted event, as stored in the process-global buffer."""
+    """One emitted event, as stored in the record log."""
 
     __slots__ = ("seq", "name", "wall", "pid", "tid", "correlation",
                  "fields")
+
+    kind = "event"
 
     def __init__(self, seq: int, name: str, wall: float, pid: int,
                  tid: int, correlation: Dict[str, str],
@@ -151,82 +149,6 @@ class Event:
                 f"correlation={self.correlation}, fields={self.fields})")
 
 
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    if isinstance(value, dict):
-        return {str(key): _jsonable(item) for key, item in value.items()}
-    return str(value)
-
-
-class EventLog:
-    """Bounded, thread-safe buffer of :class:`Event` records."""
-
-    def __init__(self, max_events: int = DEFAULT_MAX_EVENTS) -> None:
-        self._lock = threading.Lock()
-        self._records: List[Event] = []
-        self._next_seq = 1
-        self.max_events = max_events
-        self.dropped = 0
-
-    def allocate_seq(self) -> int:
-        with self._lock:
-            seq = self._next_seq
-            self._next_seq += 1
-            return seq
-
-    def record(self, event: Event) -> None:
-        with self._lock:
-            if len(self._records) >= self.max_events:
-                self.dropped += 1
-                return
-            self._records.append(event)
-
-    def events(self, name: Optional[str] = None) -> List[Event]:
-        with self._lock:
-            records = list(self._records)
-        if name is None:
-            return records
-        return [event for event in records if event.name == name]
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._records.clear()
-            self._next_seq = 1
-            self.dropped = 0
-
-    def to_jsonl(self, canonical: bool = True) -> str:
-        """One canonical JSON document per line (the reproducible export)."""
-        if canonical:
-            lines = [event.canonical_json() for event in self.events()]
-        else:
-            lines = [json.dumps(event.to_dict(), sort_keys=True,
-                                separators=(",", ":"), default=str)
-                     for event in self.events()]
-        return "".join(line + "\n" for line in lines)
-
-
-class EventState:
-    """Process-global switch plus the active event buffer."""
-
-    def __init__(self) -> None:
-        self.enabled = False
-        self.log = EventLog()
-
-
-#: The process-global state.  Hot seams read ``state.enabled`` directly.
-state = EventState()
-
-#: Sink wired by :mod:`repro.telemetry.flightrec` at import; receives
-#: every enabled-path event so the ring buffers stay current.
-_ring_sink: Optional[Callable[[Event], None]] = None
-
 #: Active correlation ids, as an immutable sorted tuple of pairs so
 #: nested scopes copy cheaply and compare deterministically.
 _scope_var: ContextVar[Tuple[Tuple[str, str], ...]] = ContextVar(
@@ -260,22 +182,22 @@ def current_correlation() -> Dict[str, str]:
     return dict(_scope_var.get())
 
 
-def correlation_id() -> Optional[str]:
-    """The most specific active id (session > cell > run), else any."""
-    scope = _scope_var.get()
-    if not scope:
-        return None
-    ids = dict(scope)
+def correlation_id(
+        correlation: Optional[Mapping[str, str]] = None) -> Optional[str]:
+    """The most specific id (session > cell > run, else the first key in
+    sorted order) of ``correlation``, or of the active scope if omitted;
+    ``None`` when there are no ids."""
+    ids = dict(_scope_var.get()) if correlation is None else correlation
     for key in _ID_PRECEDENCE:
         value = ids.get(key)
         if value is not None:
             return value
-    return scope[0][1]
+    return ids[min(ids)] if ids else None
 
 
 def emit(name: str, **fields: Any) -> Optional[Event]:
     """Record event ``name``; a single flag check when disabled."""
-    if not state.enabled:
+    if not _state.enabled:
         return None
     return _emit(name, fields)
 
@@ -288,9 +210,7 @@ def _emit(name: str, fields: Dict[str, Any]) -> Event:
         raise ConfigError(
             f"unregistered event name {name!r}; add it to "
             f"repro.telemetry.events.EVENT_NAMES (HDVB210)")
-    import os
-    import time
-    log = state.log
+    log = _state.trace
     event = Event(
         seq=log.allocate_seq(),
         name=name,
@@ -301,41 +221,4 @@ def _emit(name: str, fields: Dict[str, Any]) -> Event:
         fields=fields,
     )
     log.record(event)
-    sink = _ring_sink
-    if sink is not None:
-        sink(event)
     return event
-
-
-def enable(max_events: Optional[int] = None) -> None:
-    """Turn the event log on (and arm the flight-recorder rings)."""
-    if max_events is not None:
-        state.log.max_events = max_events
-    # Importing flightrec installs the ring sink and the span hook; the
-    # import is deferred so the disabled path never pays for it.
-    from repro.telemetry import flightrec
-    flightrec.arm()
-    state.enabled = True
-
-
-def disable() -> None:
-    """Turn the event log off; buffered events kept until :func:`reset`."""
-    state.enabled = False
-    from repro.telemetry import flightrec
-    flightrec.disarm()
-
-
-def enabled() -> bool:
-    return state.enabled
-
-
-def current_log() -> EventLog:
-    """The process-global event buffer."""
-    return state.log
-
-
-def reset() -> None:
-    """Discard buffered events, restart seq, and clear the flight rings."""
-    state.log = EventLog(max_events=state.log.max_events)
-    from repro.telemetry import flightrec
-    flightrec.reset()

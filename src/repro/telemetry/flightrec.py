@@ -1,10 +1,12 @@
 """Always-on flight recorder (``repro.telemetry.flightdump/1``).
 
 A bounded in-memory ring buffer of the last N events plus the currently
-open trace spans, keyed per correlation scope.  At steady state the cost
-is O(ring): the rings ride the event stream (they receive every event
-:func:`repro.telemetry.events.emit` records) so they are exactly as
-enabled as the event log itself — no separate switch to forget.
+open trace spans, keyed per correlation scope.  The recorder is the only
+sink of the record log (:mod:`repro.telemetry.trace`):
+:func:`repro.telemetry.enable` installs it, and from then on it sees
+every event, every span open and every span close.  At steady state the
+cost is O(ring), and the rings are exactly as enabled as telemetry
+itself — no separate switch to forget.
 
 When something dies — a ``SessionAborted``, a ``CrashInjected`` chaos
 point, an unhandled supervisor escape, a failed observe gate — the
@@ -13,9 +15,9 @@ recorder dumps the relevant ring **atomically**
 ``.hdvb-bench-history/flightrec/`` so the post-mortem is a file, not a
 memory.  Dumps carry the trigger, the error's
 :meth:`~repro.errors.ReproError.to_context_dict`, the ring events in
-canonical (bit-reproducible) form, and the spans still open at the time
-of death.  A dump that cannot be written is dropped: the failure being
-recorded matters more than its post-mortem.
+canonical (bit-reproducible) form, and the spans the dumped scope still
+had open at the time of death.  A dump that cannot be written is
+dropped: the failure being recorded matters more than its post-mortem.
 """
 
 from __future__ import annotations
@@ -27,19 +29,15 @@ from collections import deque
 from typing import Any, Deque, Dict, List, Optional
 
 from repro.chaos.fsops import atomic_write
-from repro.telemetry import trace as _trace
 from repro.telemetry import events as _events
+from repro.telemetry.trace import _jsonable, state as _state
 
 __all__ = [
     "DEFAULT_DUMP_DIR",
     "DEFAULT_RING_EVENTS",
     "FLIGHTDUMP_SCHEMA",
     "FlightRecorder",
-    "arm",
-    "disarm",
-    "dump_flight",
     "recorder",
-    "reset",
 ]
 
 #: Schema identifier stamped on every dump file.
@@ -54,17 +52,6 @@ DEFAULT_DUMP_DIR = os.path.join(".hdvb-bench-history", "flightrec")
 
 #: Ring key for events emitted outside any correlation scope.
 GLOBAL_RING = ""
-
-
-def _scope_key(correlation: Dict[str, str]) -> str:
-    """The ring key for a correlation dict: most specific id, else ''. """
-    for key in ("session_id", "cell_id", "run_id"):
-        value = correlation.get(key)
-        if value is not None:
-            return value
-    for key in sorted(correlation):
-        return correlation[key]
-    return GLOBAL_RING
 
 
 class FlightRecorder:
@@ -90,24 +77,29 @@ class FlightRecorder:
             self.ring_events = ring_events
 
     # ------------------------------------------------------------------
-    # feeds (installed by arm())
+    # the record log's sink
     # ------------------------------------------------------------------
 
-    def record(self, event: _events.Event) -> None:
-        """Ring-buffer sink for every enabled-path event."""
-        key = _scope_key(event.correlation)
+    def record(self, record: Any) -> None:
+        """A closed span leaves the open set; an event joins its scope's
+        ring and the global one."""
+        if record.kind == "span":
+            with self._lock:
+                self._open_spans.pop(record.span_id, None)
+            return
+        key = _events.correlation_id(record.correlation) or GLOBAL_RING
         with self._lock:
             ring = self._rings.get(key)
             if ring is None:
                 ring = deque(maxlen=self.ring_events)
                 self._rings[key] = ring
-            ring.append(event)
+            ring.append(record)
             if key != GLOBAL_RING:
                 shared = self._rings.get(GLOBAL_RING)
                 if shared is None:
                     shared = deque(maxlen=self.ring_events)
                     self._rings[GLOBAL_RING] = shared
-                shared.append(event)
+                shared.append(record)
 
     def span_opened(self, span_id: int, name: str,
                     attrs: Dict[str, Any]) -> None:
@@ -120,10 +112,6 @@ class FlightRecorder:
                 "correlation": _events.current_correlation(),
             }
 
-    def span_closed(self, span_id: int) -> None:
-        with self._lock:
-            self._open_spans.pop(span_id, None)
-
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
@@ -134,10 +122,15 @@ class FlightRecorder:
             ring = self._rings.get(key)
             return list(ring) if ring is not None else []
 
-    def open_spans(self) -> List[Dict[str, Any]]:
+    def open_spans(self, correlation_id: Optional[str] = None
+                   ) -> List[Dict[str, Any]]:
+        """Open spans in id order; with ``correlation_id``, only those
+        opened in a scope whose ids include it."""
         with self._lock:
             return [dict(record) for _, record in
-                    sorted(self._open_spans.items())]
+                    sorted(self._open_spans.items())
+                    if correlation_id is None
+                    or correlation_id in record["correlation"].values()]
 
     def clear(self) -> None:
         with self._lock:
@@ -152,17 +145,16 @@ class FlightRecorder:
 
     def dump(self, trigger: str, *, correlation_id: Optional[str] = None,
              error: Optional[BaseException] = None,
-             extra: Optional[Dict[str, Any]] = None,
-             directory: Optional[str] = None) -> Optional[str]:
+             extra: Optional[Dict[str, Any]] = None) -> Optional[str]:
         """Atomically write the relevant ring to a post-mortem file.
 
-        A no-op (returns ``None``) while the event log is disabled: with
+        A no-op (returns ``None``) while telemetry is disabled: with
         nothing feeding the rings there is nothing worth persisting, and
         the disabled path must stay free of filesystem traffic.  Also
         ``None`` when the dump cannot be written, so the caller goes on
         to report the failure that triggered it.
         """
-        if not _events.state.enabled:
+        if not _state.enabled:
             return None
         if correlation_id is None:
             correlation_id = _events.correlation_id()
@@ -178,15 +170,14 @@ class FlightRecorder:
             "extra": {key: _jsonable(value)
                       for key, value in sorted((extra or {}).items())},
             "events": [event.canonical_dict() for event in events],
-            "open_spans": self.open_spans(),
+            "open_spans": self.open_spans(correlation_id),
         }
         with self._lock:
             self._dump_seq += 1
             seq = self._dump_seq
-        target_dir = directory or self.dump_dir
         name = "{0}-{1}-{2:04d}.json".format(
             _safe(correlation_id or "global"), _safe(trigger), seq)
-        path = os.path.join(target_dir, name)
+        path = os.path.join(self.dump_dir, name)
         payload = json.dumps(document, sort_keys=True, indent=2,
                              default=str).encode("utf-8")
         try:
@@ -213,37 +204,5 @@ def _safe(text: str) -> str:
                    for ch in text) or "global"
 
 
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    if isinstance(value, dict):
-        return {str(key): _jsonable(item) for key, item in value.items()}
-    return str(value)
-
-
 #: The process-global recorder.
 recorder = FlightRecorder()
-
-
-def dump_flight(trigger: str, **kwargs: Any) -> Optional[str]:
-    """Module-level convenience over :meth:`FlightRecorder.dump`."""
-    return recorder.dump(trigger, **kwargs)
-
-
-def arm() -> None:
-    """Install the ring sink and the open-span hook (events.enable)."""
-    _events._ring_sink = recorder.record
-    _trace.state.span_hook = recorder
-
-
-def disarm() -> None:
-    """Detach from the event and span streams (events.disable)."""
-    _events._ring_sink = None
-    _trace.state.span_hook = None
-
-
-def reset() -> None:
-    """Drop all rings, open spans and the dump ledger."""
-    recorder.clear()

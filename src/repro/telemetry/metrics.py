@@ -29,7 +29,6 @@ __all__ = [
     "MetricsRegistry",
     "MetricsSnapshot",
     "registry",
-    "reset_registry",
 ]
 
 #: Schema identifier stamped into snapshots.
@@ -364,8 +363,3 @@ _registry = MetricsRegistry()
 
 def registry() -> MetricsRegistry:
     return _registry
-
-
-def reset_registry() -> None:
-    """Drop every instrument in the process-global registry."""
-    _registry.clear()

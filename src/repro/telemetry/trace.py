@@ -1,13 +1,25 @@
-"""Nestable, thread- and process-safe tracing spans.
+"""The telemetry record log: spans, events, one switch and one reset.
 
 The paper's headline output is *attribution* — Figure 1 only exists
-because time could be charged to codec stages.  This module provides the
-raw material for that attribution: lightweight spans recording wall time,
-nesting and user attributes into a per-session :class:`Trace` buffer.
+because time could be charged to codec stages.  This module owns the
+raw material for that attribution and for the event timeline:
 
-Telemetry is **off by default**.  When disabled, :func:`span` returns a
-shared no-op context manager without allocating anything, so the
-instrumented seams cost one flag check::
+* **the record log** (:class:`Trace`): one bounded, locked buffer of
+  completed spans and the events :func:`repro.telemetry.events.emit`
+  records, with one ``max_records`` bound and one drop counter.
+  :meth:`Trace.spans` and :meth:`Trace.events` filter it, and every
+  export reads those filters: :meth:`Trace.to_json` (the library's own
+  ``repro.telemetry.trace/1`` schema), :meth:`Trace.to_chrome`
+  (``chrome://tracing`` / Perfetto) and :meth:`Trace.to_jsonl` (the
+  canonical event log);
+* **the switch** (:func:`enable` / :func:`disable`), **off by default**:
+  while disabled, :func:`span` returns a shared no-op context manager,
+  so an instrumented seam costs one flag check.  :func:`enable`
+  installs the flight recorder (:mod:`repro.telemetry.flightrec`) as
+  the log's only sink;
+* **the reset** (:func:`reset`).
+
+::
 
     from repro.telemetry import enable, span
 
@@ -19,18 +31,10 @@ instrumented seams cost one flag check::
 
 A span that exits through an exception still closes and records the
 exception class under the ``error`` attribute (the exception propagates).
-
-Each thread keeps its own span stack (parent links never cross threads);
-each process keeps its own :class:`Trace` buffer.  Worker processes ship
-their data back explicitly (see :meth:`Trace.snapshot` and
-:meth:`repro.telemetry.metrics.MetricsRegistry.merge`).
-
-Export formats:
-
-* :meth:`Trace.to_dict` / :meth:`Trace.to_json` — the library's own
-  schema (``{"schema": "repro.telemetry.trace/1", "spans": [...]}``);
-* :meth:`Trace.to_chrome` — Chrome trace-event JSON, loadable in
-  ``chrome://tracing`` / Perfetto (complete ``"ph": "X"`` events).
+A span nests under the innermost open span of its own thread or
+``asyncio`` task (a :class:`~contextvars.ContextVar`).  Each process
+keeps its own log; worker processes ship metrics back explicitly
+(:meth:`repro.telemetry.metrics.MetricsRegistry.merge`).
 """
 
 from __future__ import annotations
@@ -39,7 +43,10 @@ import json
 import os
 import threading
 import time
+from contextvars import ContextVar
 from typing import Any, Dict, List, Optional
+
+from repro.telemetry.metrics import registry
 
 __all__ = [
     "NOOP_SPAN",
@@ -59,16 +66,19 @@ __all__ = [
 #: Schema identifier stamped into the library's own JSON export.
 TRACE_SCHEMA = "repro.telemetry.trace/1"
 
-#: Default cap on buffered span records; beyond it spans are counted but
-#: dropped (the cap keeps long enabled runs from growing without bound).
-DEFAULT_MAX_SPANS = 250_000
+#: Default cap on buffered records, spans and events together (room for
+#: 250k spans plus 200k events); beyond it records are counted but
+#: dropped, so long enabled runs cannot grow without bound.
+DEFAULT_MAX_RECORDS = 450_000
 
 
 class SpanRecord:
-    """One completed span, as stored in the trace buffer."""
+    """One completed span, as stored in the record log."""
 
     __slots__ = ("span_id", "parent_id", "name", "start", "end", "pid",
                  "tid", "attrs")
+
+    kind = "span"
 
     def __init__(self, span_id: int, parent_id: Optional[int], name: str,
                  start: float, end: float, pid: int, tid: int,
@@ -105,14 +115,23 @@ class SpanRecord:
 
 
 class Trace:
-    """A per-session buffer of completed :class:`SpanRecord` objects."""
+    """The per-process record log: completed spans and events, in order.
 
-    def __init__(self, max_spans: int = DEFAULT_MAX_SPANS) -> None:
+    Span ids and event ``seq`` numbers are allocated here; ``seq``
+    counts events only, so a reset log numbers its first event 1.
+    """
+
+    def __init__(self, max_records: int = DEFAULT_MAX_RECORDS,
+                 sink: Optional[Any] = None) -> None:
         self._lock = threading.Lock()
-        self._records: List[SpanRecord] = []
+        self._records: List[Any] = []
         self._next_id = 1
-        self.max_spans = max_spans
+        self._next_seq = 1
+        self.max_records = max_records
         self.dropped = 0
+        #: Receives every record (even one dropped at the cap) and every
+        #: span open: the flight recorder once :func:`enable` ran.
+        self.sink = sink
         #: wall-clock (``time.time``) and monotonic (``perf_counter``)
         #: origins, used to place spans on an absolute timeline.
         self.epoch = time.time()
@@ -124,29 +143,41 @@ class Trace:
             self._next_id += 1
             return span_id
 
-    def record(self, record: SpanRecord) -> None:
+    def allocate_seq(self) -> int:
         with self._lock:
-            if len(self._records) >= self.max_spans:
+            seq = self._next_seq
+            self._next_seq += 1
+            return seq
+
+    def record(self, record: Any) -> None:
+        """Append a completed span or an event, then feed the sink."""
+        with self._lock:
+            if len(self._records) >= self.max_records:
                 self.dropped += 1
-                return
-            self._records.append(record)
+            else:
+                self._records.append(record)
+        sink = self.sink
+        if sink is not None:
+            sink.record(record)
+
+    def _select(self, kind: str, name: Optional[str]) -> List[Any]:
+        with self._lock:
+            records = list(self._records)
+        return [record for record in records
+                if record.kind == kind and (name is None
+                                            or record.name == name)]
 
     def spans(self, name: Optional[str] = None) -> List[SpanRecord]:
         """Completed spans (optionally only those called ``name``)."""
-        with self._lock:
-            records = list(self._records)
-        if name is None:
-            return records
-        return [record for record in records if record.name == name]
+        return self._select("span", name)
+
+    def events(self, name: Optional[str] = None) -> List[Any]:
+        """Recorded events (optionally only those called ``name``)."""
+        return self._select("event", name)
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._records)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._records.clear()
-            self.dropped = 0
 
     # ------------------------------------------------------------------
     # export
@@ -204,35 +235,41 @@ class Trace:
                        metadata: Optional[Dict[str, Any]] = None) -> str:
         return json.dumps(self.to_chrome(metadata), indent=indent, default=str)
 
+    def to_jsonl(self) -> str:
+        """The events, one canonical JSON document per line (the
+        reproducible export)."""
+        return "".join(event.canonical_json() + "\n"
+                       for event in self.events())
+
 
 def _jsonable(value: Any) -> Any:
+    """``value`` as JSON-native data: containers recursively, others via
+    ``str``.  Shared by the trace, event and flight-dump exports."""
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(item) for item in value]
+    if isinstance(value, dict):
+        return {str(key): _jsonable(item) for key, item in value.items()}
     return str(value)
 
 
 class TelemetryState:
-    """Process-global telemetry switch plus the active trace buffer."""
+    """Process-global telemetry switch plus the record log."""
 
     def __init__(self) -> None:
         self.enabled = False
         self.trace = Trace()
-        self._local = threading.local()
-        #: Optional open-span observer (the flight recorder); ``None``
-        #: unless the event log armed it, so plain tracing pays one
-        #: attribute check per span, and disabled tracing pays nothing.
-        self.span_hook: Optional[Any] = None
-
-    def stack(self) -> List[int]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
 
 
 #: The process-global state.  Hot seams read ``state.enabled`` directly.
 state = TelemetryState()
+
+#: Id of the innermost open span in this thread or task (``None`` at
+#: the root).  A new thread starts from the default; an ``asyncio`` task
+#: starts from a copy of its creator's context.
+_open_parent: ContextVar[Optional[int]] = ContextVar(
+    "hdvb_span_parent", default=None)
 
 
 class _NoopSpan:
@@ -256,39 +293,35 @@ NOOP_SPAN = _NoopSpan()
 class Span:
     """A live span; use via ``with span(...)``."""
 
-    __slots__ = ("name", "attrs", "_state", "_span_id", "_parent_id", "_start")
+    __slots__ = ("name", "attrs", "_span_id", "_parent_id", "_token",
+                 "_start")
 
-    def __init__(self, name: str, attrs: Dict[str, Any],
-                 telemetry_state: TelemetryState) -> None:
+    def __init__(self, name: str, attrs: Dict[str, Any]) -> None:
         self.name = name
         self.attrs = attrs
-        self._state = telemetry_state
 
     def set(self, **attrs: Any) -> None:
         """Attach or update user attributes on the live span."""
         self.attrs.update(attrs)
 
     def __enter__(self) -> "Span":
-        trace = self._state.trace
-        stack = self._state.stack()
+        trace = state.trace
         self._span_id = trace.allocate_id()
-        self._parent_id = stack[-1] if stack else None
-        stack.append(self._span_id)
-        hook = self._state.span_hook
-        if hook is not None:
-            hook.span_opened(self._span_id, self.name, self.attrs)
+        self._parent_id = _open_parent.get()
+        self._token = _open_parent.set(self._span_id)
+        sink = trace.sink
+        if sink is not None:
+            sink.span_opened(self._span_id, self.name, self.attrs)
         self._start = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         end = time.perf_counter()
-        stack = self._state.stack()
-        # Pop our own id even if an inner span leaked (defensive).
-        while stack and stack.pop() != self._span_id:
-            pass
+        # Restores this span's parent even if an inner span leaked.
+        _open_parent.reset(self._token)
         if exc_type is not None:
             self.attrs.setdefault("error", exc_type.__name__)
-        self._state.trace.record(
+        state.trace.record(
             SpanRecord(
                 span_id=self._span_id,
                 parent_id=self._parent_id,
@@ -300,9 +333,6 @@ class Span:
                 attrs=self.attrs,
             )
         )
-        hook = self._state.span_hook
-        if hook is not None:
-            hook.span_closed(self._span_id)
         return False
 
 
@@ -310,18 +340,23 @@ def span(name: str, **attrs: Any):
     """Open a span named ``name``; no-op when telemetry is disabled."""
     if not state.enabled:
         return NOOP_SPAN
-    return Span(name, attrs, state)
+    return Span(name, attrs)
 
 
-def enable(max_spans: Optional[int] = None) -> None:
-    """Turn telemetry on (spans, metrics and instrumented seams)."""
-    if max_spans is not None:
-        state.trace.max_spans = max_spans
+def enable(max_records: Optional[int] = None) -> None:
+    """Turn telemetry on: spans, events, metrics, instrumented seams and
+    the flight recorder."""
+    if max_records is not None:
+        state.trace.max_records = max_records
+    # Deferred so the disabled path (and the codec import path) never
+    # loads the flight recorder or the chaos IO seam it writes through.
+    from repro.telemetry import flightrec
+    state.trace.sink = flightrec.recorder
     state.enabled = True
 
 
 def disable() -> None:
-    """Turn telemetry off; buffered data is kept until :func:`reset`."""
+    """Turn telemetry off; recorded data is kept until :func:`reset`."""
     state.enabled = False
 
 
@@ -330,10 +365,16 @@ def enabled() -> bool:
 
 
 def current_trace() -> Trace:
-    """The process-global trace buffer."""
+    """The process-global record log."""
     return state.trace
 
 
 def reset() -> None:
-    """Discard buffered spans and restart the trace timeline."""
-    state.trace = Trace(max_spans=state.trace.max_spans)
+    """Empty the record log (span ids and event ``seq`` restart at 1),
+    the flight recorder's rings, open spans and dump ledger, and the
+    metrics registry.  The switch and the ``max_records`` bound stay."""
+    previous = state.trace
+    state.trace = Trace(previous.max_records, sink=previous.sink)
+    if previous.sink is not None:
+        previous.sink.clear()
+    registry().clear()

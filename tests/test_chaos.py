@@ -473,15 +473,15 @@ class _TempFileFaults(FaultPlan):
         return super().draw(op, path)
 
 
-def _dump_with_events_on(recorder):
-    from repro.telemetry import events
+def _dump_with_telemetry_on(recorder):
+    import repro.telemetry as telemetry
 
-    events.enable()
+    telemetry.enable()
     try:
         return recorder.dump("matrix")
     finally:
-        events.disable()
-        events.reset()
+        telemetry.disable()
+        telemetry.reset()
 
 
 def _flight_dump(tmp_path):
@@ -489,7 +489,7 @@ def _flight_dump(tmp_path):
 
     recorder = FlightRecorder(dump_dir=str(tmp_path / "flightrec"))
     return (tmp_path / "flightrec" / "global-matrix-0001.json",
-            lambda: _dump_with_events_on(recorder), None)
+            lambda: _dump_with_telemetry_on(recorder), None)
 
 
 def _lint_cache(tmp_path):
@@ -667,27 +667,29 @@ class TestCrashFlightDumps:
 
     @pytest.fixture(autouse=True)
     def _telemetry(self, tmp_path):
-        from repro.telemetry import events, flightrec
+        import repro.telemetry as telemetry
+        from repro.telemetry import flightrec
 
-        events.disable()
-        events.reset()
+        telemetry.disable()
+        telemetry.reset()
         original = flightrec.recorder.dump_dir
         flightrec.recorder.configure(dump_dir=str(tmp_path / "flightrec"))
         yield
-        events.disable()
-        events.reset()
+        telemetry.disable()
+        telemetry.reset()
         flightrec.recorder.configure(dump_dir=original)
 
     def _crash_once(self, tmp_path, point, tag):
         """Arm `point`, crash a store write, return the dump document."""
+        import repro.telemetry as telemetry
         from repro.observe.timeline import load_flight_dumps
-        from repro.telemetry import events, flightrec
+        from repro.telemetry import flightrec
         from repro.telemetry.events import correlation_scope, emit
 
         dump_dir = tmp_path / f"flightrec-{tag}"
-        events.reset()
+        telemetry.reset()
         flightrec.recorder.configure(dump_dir=str(dump_dir))
-        events.enable()
+        telemetry.enable()
         # The store path is part of the crash event, so both runs use
         # the same one; only the dump directories are distinct.
         store = HistoryStore(str(tmp_path / "hist"))
@@ -702,7 +704,7 @@ class TestCrashFlightDumps:
                         store.compact(keep_last=1)
                     else:
                         store.append(record())
-        events.disable()
+        telemetry.disable()
         dumps = load_flight_dumps(str(dump_dir))
         assert len(dumps) == 1
         return dumps[0]
@@ -723,10 +725,10 @@ class TestCrashFlightDumps:
             assert {"wall", "pid", "tid"}.isdisjoint(event)
 
     def test_crash_survives_a_dump_that_faults(self, tmp_path):
-        from repro.telemetry import events
+        import repro.telemetry as telemetry
 
         dump_dir = tmp_path / "flightrec"
-        events.enable()
+        telemetry.enable()
         store = HistoryStore(str(tmp_path / "hist"))
         plan = FaultPlan(seed=0, rate=1.0, kinds=["oserror"]).crash_at(
             "store.append.pre_write")

@@ -38,7 +38,7 @@ from repro.observe.timeline import (
     load_flight_dumps,
     render_timeline,
 )
-from repro.telemetry import events, flightrec, trace
+from repro.telemetry import flightrec, trace
 from repro.telemetry.events import (
     EVENT_NAMES,
     EVENT_SCHEMA,
@@ -53,16 +53,12 @@ from repro.telemetry.flightrec import FLIGHTDUMP_SCHEMA, FlightRecorder
 @pytest.fixture(autouse=True)
 def _telemetry_hygiene(tmp_path):
     """Every test starts and ends with telemetry off and rings clear."""
-    events.disable()
-    events.reset()
     trace.disable()
     trace.reset()
     original_dir = flightrec.recorder.dump_dir
     original_ring = flightrec.recorder.ring_events
     flightrec.recorder.configure(dump_dir=str(tmp_path / "flightrec"))
     yield
-    events.disable()
-    events.reset()
     trace.disable()
     trace.reset()
     flightrec.recorder.configure(dump_dir=original_dir,
@@ -72,19 +68,19 @@ def _telemetry_hygiene(tmp_path):
 class TestEventLog:
     def test_disabled_emit_is_a_noop(self):
         assert emit("session.state", state="live") is None
-        assert len(events.current_log()) == 0
+        assert trace.current_trace().events() == []
         # disabled emits never validate names either (the fast path).
         assert emit("not.a.registered.name") is None
 
     def test_enabled_emit_records_and_validates(self):
-        events.enable()
+        trace.enable()
         event = emit("session.state", state="live")
         assert event is not None and event.seq == 1
         with pytest.raises(ConfigError, match="unregistered event name"):
             emit("totally.made.up")
 
     def test_canonical_dict_excludes_wall_pid_tid(self):
-        events.enable()
+        trace.enable()
         event = emit("session.state", b=2, a=1)
         canonical = event.canonical_dict()
         assert canonical["schema"] == EVENT_SCHEMA
@@ -108,39 +104,30 @@ class TestEventLog:
         assert correlation_id() is None
 
     def test_events_carry_the_active_scope(self):
-        events.enable()
+        trace.enable()
         with correlation_scope(session_id="s9"):
             event = emit("session.state", state="live")
         assert event.correlation == {"session_id": "s9"}
 
     def test_reset_restarts_sequence(self):
-        events.enable()
+        trace.enable()
         emit("session.state", state="a")
-        events.reset()
-        events.enable()
+        trace.reset()
+        trace.enable()
         assert emit("session.state", state="b").seq == 1
 
     def test_jsonl_export_is_bit_stable(self):
         def one_run():
-            events.reset()
-            events.enable()
+            trace.reset()
+            trace.enable()
             with correlation_scope(session_id="s0"):
                 emit("session.state", state="live", t=0.25)
                 emit("session.degrade", action="fec", t=0.5)
-            text = events.current_log().to_jsonl(canonical=True)
-            events.disable()
+            text = trace.current_trace().to_jsonl()
+            trace.disable()
             return text
 
         assert one_run() == one_run()
-
-    def test_bounded_log_counts_drops(self):
-        events.enable(max_events=2)
-        for index in range(4):
-            emit("session.state", state=index)
-        log = events.current_log()
-        assert len(log) == 2
-        assert log.dropped == 2
-        log.max_events = events.DEFAULT_MAX_EVENTS
 
 
 class TestReproErrorCorrelation:
@@ -176,12 +163,12 @@ class TestReproErrorCorrelation:
 class TestFlightRecorder:
     def test_ring_is_bounded_per_scope(self):
         recorder = FlightRecorder(ring_events=4)
-        events.enable()
-        events._ring_sink = recorder.record
+        trace.enable()
+        trace.current_trace().sink = recorder
         with correlation_scope(session_id="s1"):
             for index in range(10):
                 emit("session.state", state=index)
-        events._ring_sink = None
+        trace.current_trace().sink = flightrec.recorder
         ring = recorder.ring("s1")
         assert len(ring) == 4
         assert [event.fields["state"] for event in ring] == [6, 7, 8, 9]
@@ -194,7 +181,7 @@ class TestFlightRecorder:
         assert recorder.dumps == []
 
     def test_dump_writes_wellformed_document(self, tmp_path):
-        events.enable()
+        trace.enable()
         with correlation_scope(session_id="s2"):
             emit("session.state", state="live", t=1.0)
             error = SessionAborted("failure budget exhausted")
@@ -219,7 +206,7 @@ class TestFlightRecorder:
 
     def test_unwritable_dump_returns_none(self, tmp_path):
         self._unwritable_dump_dir(tmp_path)
-        events.enable()
+        trace.enable()
         assert flightrec.recorder.dump("session.aborted") is None
         assert flightrec.recorder.dumps == []
 
@@ -236,7 +223,7 @@ class TestFlightRecorder:
 
         monkeypatch.setattr(scheduler, "_measure_cell", failing_measure)
         self._unwritable_dump_dir(tmp_path)
-        events.enable()
+        trace.enable()
         cell = expand_cells(parse_spec(DEFAULT_SPEC))[0]
         result = scheduler.execute_cell(
             cell, ArtifactCache(str(tmp_path / "cache")))
@@ -270,14 +257,13 @@ class TestFlightRecorder:
             await origin.supervisor.drain(timeout=60.0)
 
         self._unwritable_dump_dir(tmp_path)
-        events.enable()
+        trace.enable()
         clock.run(main())
         assert runner.result.aborted
         assert runner.result.final_state == "closed"    # torn down
         assert not origin.supervisor.unhandled
 
     def test_dump_captures_open_spans(self):
-        events.enable()
         trace.enable()
         with correlation_scope(session_id="s3"):
             with trace.span("origin.session", session="s3"):
@@ -288,6 +274,38 @@ class TestFlightRecorder:
         assert "origin.session" in open_names
         # after exit the span is no longer open
         assert flightrec.recorder.open_spans() == []
+
+    def test_dump_lists_only_its_scopes_open_spans(self):
+        import asyncio
+
+        async def hold(session_id, opened, release):
+            with correlation_scope(session_id=session_id):
+                with trace.span("origin.cache.encode", key=session_id):
+                    opened.set()
+                    await asyncio.wait_for(release.wait(), timeout=5)
+
+        async def main():
+            release = asyncio.Event()
+            opened = {sid: asyncio.Event() for sid in ("c1", "c2")}
+            tasks = [asyncio.create_task(hold(sid, flag, release))
+                     for sid, flag in opened.items()]
+            for flag in opened.values():
+                await asyncio.wait_for(flag.wait(), timeout=5)
+            with correlation_scope(session_id="c1"):
+                scoped = flightrec.recorder.dump("session.aborted")
+            unscoped = flightrec.recorder.dump("gate.fail")
+            release.set()
+            await asyncio.gather(*tasks)
+            return scoped, unscoped
+
+        def open_keys(path):
+            document = json.loads(open(path, encoding="utf-8").read())
+            return [span["attrs"]["key"] for span in document["open_spans"]]
+
+        trace.enable()
+        scoped, unscoped = asyncio.run(main())
+        assert open_keys(scoped) == ["c1"]
+        assert open_keys(unscoped) == ["c1", "c2"]
 
 
 class TestSloObjectives:
@@ -362,13 +380,13 @@ class TestSloObjectives:
 
 class TestTimeline:
     def _write_events(self, path):
-        events.enable()
+        trace.enable()
         with correlation_scope(session_id="s1"):
             emit("session.state", state="live", t=0.1)
             emit("session.degrade", action="fec", t=0.2)
         with correlation_scope(session_id="other"):
             emit("session.state", state="live", t=0.3)
-        path.write_text(events.current_log().to_jsonl(canonical=True))
+        path.write_text(trace.current_trace().to_jsonl())
 
     def test_strict_schema_check(self, tmp_path):
         bad = tmp_path / "events.jsonl"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import importlib.util
 import json
 import threading
@@ -11,8 +12,10 @@ from pathlib import Path
 import pytest
 
 import repro.telemetry as telemetry
+from repro.telemetry import flightrec
+from repro.telemetry.events import correlation_scope, emit
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.trace import NOOP_SPAN
+from repro.telemetry.trace import DEFAULT_MAX_RECORDS, NOOP_SPAN
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -97,8 +100,8 @@ class TestSpans:
         (record,) = telemetry.current_trace().spans()
         assert record.attrs["error"] == "CustomLabel"
 
-    def test_threads_keep_separate_stacks(self):
-        telemetry.enable()
+    @staticmethod
+    def _run_in_threads():
         ready = threading.Barrier(2)
 
         def worker(tag):
@@ -111,26 +114,88 @@ class TestSpans:
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+
+    @staticmethod
+    def _run_in_tasks():
+        async def worker(tag, ready):
+            other = "b" if tag == "a" else "a"
+            with telemetry.span(f"root.{tag}"):
+                ready[tag].set()
+                # Both roots are open across this await.
+                await asyncio.wait_for(ready[other].wait(), timeout=5)
+                with telemetry.span(f"child.{tag}"):
+                    pass
+
+        async def main():
+            ready = {tag: asyncio.Event() for tag in "ab"}
+            await asyncio.gather(*(worker(tag, ready) for tag in "ab"))
+
+        asyncio.run(main())
+
+    @pytest.mark.parametrize("run", ["threads", "tasks"])
+    def test_threads_keep_separate_stacks(self, run):
+        telemetry.enable()
+        getattr(self, f"_run_in_{run}")()
         records = telemetry.current_trace().spans()
         assert len(records) == 4
         for tag in "ab":
             child = next(r for r in records if r.name == f"child.{tag}")
             root = next(r for r in records if r.name == f"root.{tag}")
+            assert root.parent_id is None
             assert child.parent_id == root.span_id
             assert child.tid == root.tid
 
-    def test_buffer_cap_drops_and_counts(self):
-        telemetry.enable(max_spans=3)
+
+# ---------------------------------------------------------------------------
+# the record log: one bound, one reset
+# ---------------------------------------------------------------------------
+
+class TestRecordLog:
+    @pytest.mark.parametrize("kind", ["span", "event"])
+    def test_buffer_cap_drops_and_counts(self, kind):
+        telemetry.enable(max_records=3)
         try:
-            for _ in range(5):
-                with telemetry.span("s"):
-                    pass
-            trace = telemetry.current_trace()
-            assert len(trace) == 3
-            assert trace.dropped == 2
+            for index in range(5):
+                if kind == "span":
+                    with telemetry.span("s"):
+                        pass
+                else:
+                    emit("session.state", state=index)
+            log = telemetry.current_trace()
+            assert len(log) == 3
+            assert log.dropped == 2
+            kept = log.spans() if kind == "span" else log.events()
+            assert len(kept) == 3
         finally:
-            telemetry.state.trace.max_spans = 250_000
+            telemetry.state.trace.max_records = DEFAULT_MAX_RECORDS
+
+    def test_reset_empties_everything(self, tmp_path):
+        recorder = flightrec.recorder
+        original_dir = recorder.dump_dir
+        recorder.configure(dump_dir=str(tmp_path / "flightrec"))
+        try:
+            telemetry.enable()
+            telemetry.registry().counter("work").inc()
+            with telemetry.span("done"):
+                pass
+            with correlation_scope(session_id="s1"):
+                emit("session.state", state="live")
+                with telemetry.span("still.open"):
+                    assert recorder.dump("session.aborted") is not None
+                    assert recorder.ring("s1") and recorder.open_spans()
+                    telemetry.reset()
+                    log = telemetry.current_trace()
+                    assert log.spans() == [] and log.events() == []
+                    assert len(log) == 0 and log.dropped == 0
+                    assert recorder.ring("s1") == recorder.ring(None) == []
+                    assert recorder.open_spans() == []
+                    assert recorder.dumps == []
+                    assert len(telemetry.registry()) == 0
+                    assert emit("session.state", state="again").seq == 1
+        finally:
+            recorder.configure(dump_dir=original_dir)
 
 
 # ---------------------------------------------------------------------------

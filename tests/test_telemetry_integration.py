@@ -16,18 +16,24 @@ from repro.codecs import get_decoder, get_encoder
 from repro.kernels import get_kernels
 from repro.parallel import parallel_encode
 from repro.robustness import FaultInjector
+from repro.telemetry import flightrec
 from repro.telemetry.instrument import InstrumentedKernels
 from tests.conftest import make_moving_sequence
 from tests.test_telemetry import load_check_trace
 
 
 @pytest.fixture(autouse=True)
-def clean_telemetry():
+def clean_telemetry(tmp_path):
+    """Telemetry off and empty around each test; flight dumps (a pool
+    fallback writes one) land in the test's own directory."""
     telemetry.disable()
     telemetry.reset()
+    original_dir = flightrec.recorder.dump_dir
+    flightrec.recorder.configure(dump_dir=str(tmp_path / "flightrec"))
     yield
     telemetry.disable()
     telemetry.reset()
+    flightrec.recorder.configure(dump_dir=original_dir)
 
 
 @pytest.fixture(scope="module")
@@ -235,6 +241,8 @@ class TestParallelTelemetry:
         assert reg.value("parallel.retries") == 2
         assert reg.value("parallel.fallbacks") == 1
         assert reg.value("encode.mpeg2.pictures") == len(video)
+        (dump,) = flightrec.recorder.dumps
+        assert dump.endswith("global-pool-fallback-0001.json")
 
 
 # ---------------------------------------------------------------------------
