@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Tuple
+
+import numpy as np
 
 from repro.codecs.h264.cavlc import nc_context
 
@@ -13,6 +16,12 @@ LUMA_OFFSETS: Tuple[Tuple[int, int], ...] = tuple(
 
 #: Offsets of the four 4x4 chroma blocks inside an 8x8 chroma macroblock.
 CHROMA_OFFSETS: Tuple[Tuple[int, int], ...] = ((0, 0), (4, 0), (0, 4), (4, 4))
+
+
+def blocks_to_square(blocks: np.ndarray) -> np.ndarray:
+    """A raster-ordered ``(n * n, 4, 4)`` stack of 4x4 blocks as one ``4n x 4n`` array."""
+    side = math.isqrt(len(blocks))
+    return blocks.reshape(side, side, 4, 4).swapaxes(1, 2).reshape(4 * side, 4 * side)
 
 
 def luma_quadrant(block_index: int) -> int:

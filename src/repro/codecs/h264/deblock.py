@@ -15,12 +15,22 @@ order but is self-consistent between encoder and decoder, and it exposes
 whole-edge vectors to the kernels — exactly the data-parallel layout the
 paper's SIMD deblocking kernels exploit.  The per-line sample arithmetic
 lives in the kernel backends (``deblock_normal`` / ``deblock_strong``).
+
+bS comes from grids, once per picture.  :class:`DeblockMeta` keeps one
+NumPy grid per field of a 4x4 luma cell (intra, coded residual, MV x, MV
+y, reference), which the macroblock loop writes by slice.  Before any
+sample is filtered, :meth:`DeblockMeta.strengths` turns the grids into the
+bS of every vertical and every horizontal edge segment with a few array
+operations.  A chroma segment reads every second luma cell of its edge,
+and each edge's bS becomes per-sample ``c0`` by ``np.repeat`` through a
+per-QP lookup.  :func:`boundary_strength` states the rule for one pair of
+cells; it is the reference the grid computation is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -31,7 +41,7 @@ from repro.me.types import MotionVector
 
 @dataclass(frozen=True)
 class CellState:
-    """Deblocking-relevant state of one 4x4 luma cell."""
+    """Deblocking-relevant state of one 4x4 luma cell (see :func:`boundary_strength`)."""
 
     intra: bool
     nonzero: bool
@@ -40,38 +50,77 @@ class CellState:
 
 
 class DeblockMeta:
-    """Per-picture 4x4-cell grid of deblocking state."""
+    """Per-picture deblocking state: one NumPy grid per field, one entry per 4x4 luma cell.
+
+    ``intra``, ``nonzero``, ``mv_x``, ``mv_y`` and ``ref`` are indexed
+    ``[by, bx]``.  Every cell starts intra with coded residual.
+    """
 
     def __init__(self, mb_width: int, mb_height: int) -> None:
-        self.mb_width = mb_width
-        self.mb_height = mb_height
-        self.width = 4 * mb_width
-        self.height = 4 * mb_height
-        default = CellState(intra=True, nonzero=True)
-        self._cells: List[List[CellState]] = [
-            [default] * self.width for _ in range(self.height)
-        ]
-
-    def cell(self, bx: int, by: int) -> CellState:
-        return self._cells[by][bx]
-
-    def set_rect(self, bx: int, by: int, cells_x: int, cells_y: int,
-                 state: CellState) -> None:
-        for row in range(by, min(by + cells_y, self.height)):
-            for col in range(bx, min(bx + cells_x, self.width)):
-                self._cells[row][col] = state
+        shape = (4 * mb_height, 4 * mb_width)
+        self.intra = np.ones(shape, dtype=bool)
+        self.nonzero = np.ones(shape, dtype=bool)
+        self.mv_x = np.zeros(shape, dtype=np.int64)
+        self.mv_y = np.zeros(shape, dtype=np.int64)
+        self.ref = np.zeros(shape, dtype=np.int64)
 
     def mark_intra_mb(self, mbx: int, mby: int) -> None:
-        self.set_rect(4 * mbx, 4 * mby, 4, 4, CellState(intra=True, nonzero=True))
+        cells = np.s_[4 * mby : 4 * mby + 4, 4 * mbx : 4 * mbx + 4]
+        self.intra[cells] = True
+        self.nonzero[cells] = True
+        self.mv_x[cells] = self.mv_y[cells] = self.ref[cells] = 0
 
     def set_nonzero(self, bx: int, by: int, nonzero: bool) -> None:
-        old = self._cells[by][bx]
-        self._cells[by][bx] = CellState(old.intra, nonzero, old.mv, old.ref)
+        self.nonzero[by, bx] = nonzero
 
     def mark_inter(self, bx: int, by: int, cells_x: int, cells_y: int,
                    mv: MotionVector, ref: int) -> None:
-        self.set_rect(bx, by, cells_x, cells_y,
-                      CellState(intra=False, nonzero=False, mv=mv, ref=ref))
+        cells = np.s_[by : by + cells_y, bx : bx + cells_x]
+        self.intra[cells] = False
+        self.nonzero[cells] = False
+        self.mv_x[cells] = mv.x
+        self.mv_y[cells] = mv.y
+        self.ref[cells] = ref
+
+    def strengths(self) -> Tuple[np.ndarray, np.ndarray]:
+        """bS of every luma edge segment: ``(vertical, horizontal)``.
+
+        ``vertical[by, e - 1]`` is the bS of the segment of cell row ``by``
+        on the edge left of cell column ``e``; ``horizontal[e - 1, bx]``
+        that of cell column ``bx`` on the edge above cell row ``e``.  Each
+        equals :func:`boundary_strength` of the two cells it separates.
+        """
+        grids = (self.intra, self.nonzero, self.mv_x, self.mv_y, self.ref)
+        vertical = _strengths_across_columns(*grids)
+        horizontal = _strengths_across_columns(*(grid.T for grid in grids)).T
+        return vertical, horizontal
+
+
+def chroma_strengths(vertical: np.ndarray,
+                     horizontal: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The chroma planes' bS grids, laid out as :meth:`DeblockMeta.strengths`.
+
+    A chroma edge lies on every second luma edge, and each of its 4-sample
+    segments spans two luma cells, of which the first decides the bS.
+    """
+    return vertical[::2, 1::2], horizontal[1::2, ::2]
+
+
+def _strengths_across_columns(intra: np.ndarray, nonzero: np.ndarray, mv_x: np.ndarray,
+                              mv_y: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """bS between every cell and its left neighbour, shape ``(rows, cols - 1)``."""
+    p, q = np.s_[:, :-1], np.s_[:, 1:]
+    strengths = (
+        (ref[p] != ref[q])
+        | (np.abs(mv_x[p] - mv_x[q]) >= 4)
+        | (np.abs(mv_y[p] - mv_y[q]) >= 4)
+    ).astype(np.int64)
+    strengths[nonzero[p] | nonzero[q]] = 2
+    intra_edge = intra[p] | intra[q]
+    strengths[intra_edge] = 3
+    mb_edge = np.arange(1, intra.shape[1]) % 4 == 0
+    strengths[intra_edge & mb_edge] = 4
+    return strengths
 
 
 def boundary_strength(p: CellState, q: CellState, mb_edge: bool) -> int:
@@ -94,79 +143,47 @@ class DeblockFilter:
         self.kernels = kernels
         self.alpha = int(DEBLOCK_ALPHA[qp])
         self.beta = int(DEBLOCK_BETA[qp])
-        self.tc0_row = DEBLOCK_TC0[qp]
+        tc0 = DEBLOCK_TC0[qp]
+        #: c0 per bS: the tc0 of bS 1..3, and -1 (not filtered normally) for 0 and 4.
+        self.c0_of_bs = np.array([-1, tc0[1], tc0[2], tc0[3], -1], dtype=np.int64)
 
     def apply(self, frame: WorkingFrame, meta: DeblockMeta) -> None:
         """Filter ``frame`` in place (then invalidates its padding caches)."""
         if self.alpha == 0 or self.beta == 0:
             return
-        self._filter_plane(frame.y, meta, chroma=False)
+        vertical, horizontal = meta.strengths()
+        self._filter_plane(frame.y, vertical, horizontal, chroma=False)
+        chroma_vertical, chroma_horizontal = chroma_strengths(vertical, horizontal)
         for plane_name in ("u", "v"):
-            self._filter_plane(frame.plane(plane_name), meta, chroma=True)
+            self._filter_plane(frame.plane(plane_name), chroma_vertical,
+                               chroma_horizontal, chroma=True)
         frame.invalidate_padding()
 
     # ------------------------------------------------------------------
 
-    def _filter_plane(self, plane: np.ndarray, meta: DeblockMeta, chroma: bool) -> None:
-        size = plane.shape[1]
-        mb_stride = 8 if chroma else 16
-        for x in range(4, size, 4):
-            self._filter_edge(plane, meta, x, vertical=True,
-                              mb_edge=(x % mb_stride == 0), chroma=chroma)
-        size = plane.shape[0]
-        for y in range(4, size, 4):
-            self._filter_edge(plane, meta, y, vertical=False,
-                              mb_edge=(y % mb_stride == 0), chroma=chroma)
+    def _filter_plane(self, plane: np.ndarray, vertical: np.ndarray,
+                      horizontal: np.ndarray, chroma: bool) -> None:
+        """Filter every vertical edge left to right, then every horizontal one top to bottom.
 
-    def _edge_strengths(self, meta: DeblockMeta, position: int, count: int,
-                        vertical: bool, mb_edge: bool, chroma: bool) -> List[int]:
-        """bS per 4-sample segment along a full-length edge."""
-        scale = 2 if chroma else 1  # chroma samples -> luma cell coordinates
-        edge_cell = (position * scale) // 4
-        strengths = []
-        for segment in range(count // 4):
-            along_cell = (segment * 4 * scale) // 4
-            if vertical:
-                p = meta.cell(edge_cell - 1, along_cell)
-                q = meta.cell(edge_cell, along_cell)
-            else:
-                p = meta.cell(along_cell, edge_cell - 1)
-                q = meta.cell(along_cell, edge_cell)
-            strengths.append(boundary_strength(p, q, mb_edge))
-        return strengths
+        Column ``e - 1`` of ``vertical`` (row ``e - 1`` of ``horizontal``)
+        holds the per-segment bS of the edge at sample ``4 * e``.
+        """
+        for index, strengths in enumerate(vertical.T):
+            self._filter_edge(plane, strengths, 4 * (index + 1), vertical=True, chroma=chroma)
+        for index, strengths in enumerate(horizontal):
+            self._filter_edge(plane, strengths, 4 * (index + 1), vertical=False, chroma=chroma)
 
-    def _filter_edge(self, plane: np.ndarray, meta: DeblockMeta, position: int,
-                     vertical: bool, mb_edge: bool, chroma: bool) -> None:
-        count = plane.shape[0] if vertical else plane.shape[1]
-        strengths = self._edge_strengths(meta, position, count, vertical,
-                                         mb_edge, chroma)
-        if not any(strengths):
+    def _filter_edge(self, plane: np.ndarray, strengths: np.ndarray, position: int,
+                     vertical: bool, chroma: bool) -> None:
+        if not strengths.any():
             return
-        c0, strong_mask = self._per_position(strengths)
-        if np.any(c0 >= 0):
-            self._normal_edge(plane, position, count, vertical, c0, chroma)
-        if strong_mask is not None:
-            self._strong_edge(plane, position, count, vertical, strong_mask, chroma)
-
-    def _per_position(self, strengths: List[int]) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Per-position c0 (bS 1..3; -1 elsewhere) and bS-4 mask (or None)."""
-        c0_values = []
-        mask_values = []
-        any_strong = False
-        for bs in strengths:
-            if bs == 4:
-                c0_values.extend([-1] * 4)
-                mask_values.extend([1] * 4)
-                any_strong = True
-            elif bs > 0:
-                c0_values.extend([int(self.tc0_row[bs])] * 4)
-                mask_values.extend([0] * 4)
-            else:
-                c0_values.extend([-1] * 4)
-                mask_values.extend([0] * 4)
-        c0 = np.array(c0_values, dtype=np.int64)
-        mask = np.array(mask_values, dtype=np.int64) if any_strong else None
-        return c0, mask
+        c0 = self.c0_of_bs[strengths]
+        if (c0 >= 0).any():
+            self._normal_edge(plane, position, vertical, np.repeat(c0, 4), chroma)
+        strong = strengths == 4
+        if strong.any():
+            mask = np.repeat(strong.astype(np.int64), 4)
+            self._strong_edge(plane, position, vertical, mask, chroma)
 
     # ------------------------------------------------------------------
 
@@ -189,8 +206,8 @@ class DeblockFilter:
             else:
                 plane[position + offset, :] = line
 
-    def _normal_edge(self, plane: np.ndarray, position: int, count: int,
-                     vertical: bool, c0: np.ndarray, chroma: bool) -> None:
+    def _normal_edge(self, plane: np.ndarray, position: int, vertical: bool,
+                     c0: np.ndarray, chroma: bool) -> None:
         p2, p1, p0, q0, q1, q2 = self._gather(plane, position, vertical, 3)
         out_p1, out_p0, out_q0, out_q1 = self.kernels.deblock_normal(
             p2, p1, p0, q0, q1, q2, self.alpha, self.beta, c0, chroma
@@ -198,8 +215,8 @@ class DeblockFilter:
         self._scatter(plane, position, vertical, (-2, -1, 0, 1),
                       (out_p1, out_p0, out_q0, out_q1))
 
-    def _strong_edge(self, plane: np.ndarray, position: int, count: int,
-                     vertical: bool, mask: np.ndarray, chroma: bool) -> None:
+    def _strong_edge(self, plane: np.ndarray, position: int, vertical: bool,
+                     mask: np.ndarray, chroma: bool) -> None:
         p3, p2, p1, p0, q0, q1, q2, q3 = self._gather(plane, position, vertical, 4)
         out = self.kernels.deblock_strong(
             p3, p2, p1, p0, q0, q1, q2, q3, self.alpha, self.beta, mask, chroma

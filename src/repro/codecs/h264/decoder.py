@@ -14,6 +14,7 @@ import numpy as np
 from repro.codecs.base import EncodedPicture, EncodedVideo, VideoDecoder
 from repro.codecs.frames import WorkingFrame
 from repro.codecs.h264 import common, intra
+from repro.codecs.h264.common import blocks_to_square
 from repro.codecs.h264.cavlc import CavlcCoder
 from repro.codecs.h264.deblock import DeblockFilter, DeblockMeta
 from repro.codecs.h264.motion import PARTITION_SHAPES, MvGrid4
@@ -144,12 +145,11 @@ class H264Decoder(VideoDecoder):
                 reader, 16, self._tc_luma.nc(bx, by)
             )
             self._tc_luma.set(bx, by, total_coeff)
+            pixels = prediction
             if total_coeff:
                 levels = unscan4(scanned)
                 rebuilt = kernels.inv_transform4(kernels.dequant_h264_4x4(levels, qp))
                 pixels = kernels.add_clip(prediction, rebuilt)
-            else:
-                pixels = kernels.add_clip(prediction, np.zeros((4, 4), dtype=np.int64))
             self._recon.store_block("y", x, y, pixels)
         self._meta.mark_intra_mb(mbx, mby)
         self._decode_intra_chroma(reader, mbx, mby)
@@ -167,24 +167,23 @@ class H264Decoder(VideoDecoder):
         dc_levels = unscan4(dc_scanned)
         dc_rebuilt = kernels.dequant_h264_dc4(dc_levels, qp)
 
-        for block_index, (off_x, off_y) in enumerate(common.LUMA_OFFSETS):
+        ac_levels = []
+        for off_x, off_y in common.LUMA_OFFSETS:
             bx, by = (x0 + off_x) // 4, (y0 + off_y) // 4
+            total_coeff = 0
             if has_ac:
                 scanned, total_coeff = self.cavlc.decode_block(
                     reader, 15, self._tc_luma.nc(bx, by)
                 )
-                levels = unscan4([0] + scanned)
-            else:
-                total_coeff = 0
-                levels = np.zeros((4, 4), dtype=np.int64)
+                ac_levels.append(unscan4([0] + scanned))
             self._tc_luma.set(bx, by, total_coeff)
-            coeffs = kernels.dequant_h264_4x4(levels, qp)
-            coeffs[0, 0] = dc_rebuilt[off_y // 4, off_x // 4]
-            pixels = kernels.add_clip(
-                prediction[off_y : off_y + 4, off_x : off_x + 4],
-                kernels.inv_transform4(coeffs),
-            )
-            self._recon.store_block("y", x0 + off_x, y0 + off_y, pixels)
+        if has_ac:
+            coeffs = kernels.dequant_h264_4x4(np.stack(ac_levels), qp)
+        else:
+            coeffs = np.zeros((16, 4, 4), dtype=np.int64)
+        coeffs[:, 0, 0] = dc_rebuilt.ravel()
+        residual = blocks_to_square(kernels.inv_transform4(coeffs))
+        self._recon.store_block("y", x0, y0, kernels.add_clip(prediction, residual))
         self._meta.mark_intra_mb(mbx, mby)
         self._decode_intra_chroma(reader, mbx, mby)
 
@@ -216,38 +215,29 @@ class H264Decoder(VideoDecoder):
                 scanned, _ = self.cavlc.decode_block(reader, 4, 0)
                 dc_levels[plane] = unscan(scanned, ZIGZAG_2X2, 2)
         ac_levels: Dict[str, List[np.ndarray]] = {"u": [], "v": []}
-        if cbp == 2:
-            for plane in ("u", "v"):
-                grid = self._tc_chroma[plane]
-                for off_x, off_y in common.CHROMA_OFFSETS:
-                    bx = (x0 + off_x) // 4
-                    by = (y0 + off_y) // 4
+        for plane in ("u", "v"):
+            grid = self._tc_chroma[plane]
+            for off_x, off_y in common.CHROMA_OFFSETS:
+                bx, by = (x0 + off_x) // 4, (y0 + off_y) // 4
+                total_coeff = 0
+                if cbp == 2:
                     scanned, total_coeff = self.cavlc.decode_block(
                         reader, 15, grid.nc(bx, by)
                     )
-                    grid.set(bx, by, total_coeff)
                     ac_levels[plane].append(unscan4([0] + scanned))
-        else:
-            for plane in ("u", "v"):
-                grid = self._tc_chroma[plane]
-                for off_x, off_y in common.CHROMA_OFFSETS:
-                    grid.set((x0 + off_x) // 4, (y0 + off_y) // 4, 0)
+                grid.set(bx, by, total_coeff)
 
         for plane in ("u", "v"):
-            if cbp >= 1:
-                dc_rebuilt = kernels.dequant_h264_dc2(dc_levels[plane], qp)
-            else:
-                dc_rebuilt = np.zeros((2, 2), dtype=np.int64)
-            for block_index, (off_x, off_y) in enumerate(common.CHROMA_OFFSETS):
-                pred_block = prediction[plane][off_y : off_y + 4, off_x : off_x + 4]
+            pixels = prediction[plane]
+            if cbp:
                 if cbp == 2:
-                    levels = ac_levels[plane][block_index]
+                    coeffs = kernels.dequant_h264_4x4(np.stack(ac_levels[plane]), qp)
                 else:
-                    levels = np.zeros((4, 4), dtype=np.int64)
-                coeffs = kernels.dequant_h264_4x4(levels, qp)
-                coeffs[0, 0] = dc_rebuilt[off_y // 4, off_x // 4]
-                pixels = kernels.add_clip(pred_block, kernels.inv_transform4(coeffs))
-                self._recon.store_block(plane, x0 + off_x, y0 + off_y, pixels)
+                    coeffs = np.zeros((4, 4, 4), dtype=np.int64)
+                coeffs[:, 0, 0] = kernels.dequant_h264_dc2(dc_levels[plane], qp).ravel()
+                residual = blocks_to_square(kernels.inv_transform4(coeffs))
+                pixels = kernels.add_clip(prediction[plane], residual)
+            self._recon.store_block(plane, x0, y0, pixels)
 
     # ------------------------------------------------------------------
     # inter machinery
@@ -255,21 +245,21 @@ class H264Decoder(VideoDecoder):
 
     def _partition_prediction(
         self,
-        reference: WorkingFrame,
         mbx: int,
         mby: int,
-        assignments,
+        assignments: List[Tuple[WorkingFrame, Tuple[int, int, int, int], MotionVector]],
     ) -> Dict[str, np.ndarray]:
+        """Assemble an MB prediction from per-partition (reference, rect, mv) triples."""
         kernels = self.kernels
         search_range = self._search_range
-        luma = reference.padded("y", search_range)
         pred_y = np.zeros((16, 16), dtype=np.int64)
         pred_c = {
             "u": np.zeros((8, 8), dtype=np.int64),
             "v": np.zeros((8, 8), dtype=np.int64),
         }
-        for (off_x, off_y, width, height), mv in assignments:
+        for reference, (off_x, off_y, width, height), mv in assignments:
             check_motion_vector(mv, search_range, 4)
+            luma = reference.padded("y", search_range)
             px, py = luma.offset(16 * mbx + off_x, 16 * mby + off_y)
             pred_y[off_y : off_y + height, off_x : off_x + width] = kernels.mc_qpel_h264(
                 luma.plane, px, py, width, height, mv.x, mv.y
@@ -287,51 +277,49 @@ class H264Decoder(VideoDecoder):
 
     def _decode_luma_residual(self, reader: BitReader, prediction: np.ndarray,
                               mbx: int, mby: int) -> None:
+        """Parse the 16 luma blocks, then rebuild the coded ones as one stack.
+
+        ``mark_inter`` has cleared the macroblock's nonzero cells already.
+        """
         kernels = self.kernels
-        qp = self._qp
         x0, y0 = 16 * mbx, 16 * mby
         cbp = reader.read_bits(4)
+        coded: List[int] = []
+        levels: List[np.ndarray] = []
         for block_index, (off_x, off_y) in enumerate(common.LUMA_OFFSETS):
             bx, by = (x0 + off_x) // 4, (y0 + off_y) // 4
-            pred_block = prediction[off_y : off_y + 4, off_x : off_x + 4]
+            total_coeff = 0
             if cbp & (1 << common.luma_quadrant(block_index)):
                 scanned, total_coeff = self.cavlc.decode_block(
                     reader, 16, self._tc_luma.nc(bx, by)
                 )
-            else:
-                scanned, total_coeff = None, 0
+                if total_coeff:
+                    coded.append(block_index)
+                    levels.append(unscan4(scanned))
+                    self._meta.set_nonzero(bx, by, True)
             self._tc_luma.set(bx, by, total_coeff)
-            self._meta.set_nonzero(bx, by, total_coeff > 0)
-            if total_coeff:
-                levels = unscan4(scanned)
-                rebuilt = kernels.inv_transform4(kernels.dequant_h264_4x4(levels, qp))
-                pixels = kernels.add_clip(pred_block, rebuilt)
-            else:
-                pixels = kernels.add_clip(pred_block, np.zeros((4, 4), dtype=np.int64))
-            self._recon.store_block("y", x0 + off_x, y0 + off_y, pixels)
+        pixels = prediction
+        if coded:
+            residual = np.zeros((16, 4, 4), dtype=np.int64)
+            residual[coded] = kernels.inv_transform4(
+                kernels.dequant_h264_4x4(np.stack(levels), self._qp)
+            )
+            pixels = kernels.add_clip(prediction, blocks_to_square(residual))
+        self._recon.store_block("y", x0, y0, pixels)
 
-    def _no_residual_recon(self, prediction: Dict[str, np.ndarray],
-                           mbx: int, mby: int) -> None:
-        kernels = self.kernels
-        zero4 = np.zeros((4, 4), dtype=np.int64)
+    def _store_prediction(self, prediction: Dict[str, np.ndarray],
+                          mbx: int, mby: int) -> None:
+        """Reconstruct a macroblock with no residual: its prediction, as is."""
         x0, y0 = 16 * mbx, 16 * mby
         for off_x, off_y in common.LUMA_OFFSETS:
-            bx, by = (x0 + off_x) // 4, (y0 + off_y) // 4
-            self._tc_luma.set(bx, by, 0)
-            self._meta.set_nonzero(bx, by, False)
-            pred_block = prediction["y"][off_y : off_y + 4, off_x : off_x + 4]
-            self._recon.store_block(
-                "y", x0 + off_x, y0 + off_y, kernels.add_clip(pred_block, zero4)
-            )
+            self._tc_luma.set((x0 + off_x) // 4, (y0 + off_y) // 4, 0)
+        self._recon.store_block("y", x0, y0, prediction["y"])
         cx0, cy0 = 8 * mbx, 8 * mby
         for plane in ("u", "v"):
             grid = self._tc_chroma[plane]
             for off_x, off_y in common.CHROMA_OFFSETS:
                 grid.set((cx0 + off_x) // 4, (cy0 + off_y) // 4, 0)
-                pred_block = prediction[plane][off_y : off_y + 4, off_x : off_x + 4]
-                self._recon.store_block(
-                    plane, cx0 + off_x, cy0 + off_y, kernels.add_clip(pred_block, zero4)
-                )
+            self._recon.store_block(plane, cx0, cy0, prediction[plane])
 
     # ------------------------------------------------------------------
     # P macroblocks
@@ -346,8 +334,8 @@ class H264Decoder(VideoDecoder):
             mv = grid.predictor(bx, by, 4)
             grid.set_rect(bx, by, 4, 4, mv, 0)
             self._meta.mark_inter(bx, by, 4, 4, mv, 0)
-            prediction = self._partition_prediction(l0[0], mbx, mby, [((0, 0, 16, 16), mv)])
-            self._no_residual_recon(prediction, mbx, mby)
+            prediction = self._partition_prediction(mbx, mby, [(l0[0], (0, 0, 16, 16), mv)])
+            self._store_prediction(prediction, mbx, mby)
             return
         if mode == common.P_I4:
             self._decode_i4_mb(reader, mbx, mby)
@@ -359,20 +347,18 @@ class H264Decoder(VideoDecoder):
         if shape is None:
             raise BitstreamError(f"invalid P macroblock mode {mode}")
         assignments = []
-        reference = None
         for rect in PARTITION_SHAPES[shape]:
             off_x, off_y, width, height = rect
             pbx, pby = (16 * mbx + off_x) // 4, (16 * mby + off_y) // 4
             ref_index = read_ue(reader) if len(l0) > 1 else 0
             if ref_index >= len(l0):
                 raise BitstreamError(f"reference index {ref_index} out of range")
-            reference = l0[ref_index]
             predictor = grid.predictor(pbx, pby, width // 4)
             mv = MotionVector(predictor.x + read_se(reader), predictor.y + read_se(reader))
             grid.set_rect(pbx, pby, width // 4, height // 4, mv, ref_index)
             self._meta.mark_inter(pbx, pby, width // 4, height // 4, mv, ref_index)
-            assignments.append((rect, mv))
-        prediction = self._partition_prediction(reference, mbx, mby, assignments)
+            assignments.append((l0[ref_index], rect, mv))
+        prediction = self._partition_prediction(mbx, mby, assignments)
         self._decode_luma_residual(reader, prediction["y"], mbx, mby)
         self._decode_chroma_residual(reader, prediction, mbx, mby)
 
@@ -389,8 +375,8 @@ class H264Decoder(VideoDecoder):
             mv = self._grid_l0.predictor(bx, by, 4)
             self._grid_l0.set_rect(bx, by, 4, 4, mv, 0)
             self._meta.mark_inter(bx, by, 4, 4, mv, 0)
-            prediction = self._partition_prediction(forward, mbx, mby, [(rect, mv)])
-            self._no_residual_recon(prediction, mbx, mby)
+            prediction = self._partition_prediction(mbx, mby, [(forward, rect, mv)])
+            self._store_prediction(prediction, mbx, mby)
             return
         if mode == common.B_I4:
             self._decode_i4_mb(reader, mbx, mby)
@@ -414,14 +400,14 @@ class H264Decoder(VideoDecoder):
             )
             self._grid_l1.set_rect(bx, by, 4, 4, mv_bwd, 0)
         if mode == common.B_FWD:
-            prediction = self._partition_prediction(forward, mbx, mby, [(rect, mv_fwd)])
+            prediction = self._partition_prediction(mbx, mby, [(forward, rect, mv_fwd)])
             self._meta.mark_inter(bx, by, 4, 4, mv_fwd, 0)
         elif mode == common.B_BWD:
-            prediction = self._partition_prediction(backward, mbx, mby, [(rect, mv_bwd)])
+            prediction = self._partition_prediction(mbx, mby, [(backward, rect, mv_bwd)])
             self._meta.mark_inter(bx, by, 4, 4, mv_bwd, 1)
         elif mode == common.B_BI:
-            pred_fwd = self._partition_prediction(forward, mbx, mby, [(rect, mv_fwd)])
-            pred_bwd = self._partition_prediction(backward, mbx, mby, [(rect, mv_bwd)])
+            pred_fwd = self._partition_prediction(mbx, mby, [(forward, rect, mv_fwd)])
+            pred_bwd = self._partition_prediction(mbx, mby, [(backward, rect, mv_bwd)])
             prediction = {
                 name: kernels.average(pred_fwd[name], pred_bwd[name])
                 for name in ("y", "u", "v")

@@ -255,7 +255,7 @@ class H264Encoder(VideoEncoder):
                 rebuilt = kernels.inv_transform4(kernels.dequant_h264_4x4(levels, qp))
                 pixels = kernels.add_clip(best_pred, rebuilt)
             else:
-                pixels = kernels.add_clip(best_pred, np.zeros((4, 4), dtype=np.int64))
+                pixels = best_pred
             self._recon.store_block("y", x, y, pixels)
         self._meta.mark_intra_mb(mbx, mby)
         self._code_intra_chroma(writer, source, mbx, mby)
@@ -531,7 +531,7 @@ class H264Encoder(VideoEncoder):
                 )
                 pixels = kernels.add_clip(pred_block, rebuilt)
             else:
-                pixels = kernels.add_clip(pred_block, np.zeros((4, 4), dtype=np.int64))
+                pixels = pred_block
             self._recon.store_block("y", x0 + off_x, y0 + off_y, pixels)
 
     # ------------------------------------------------------------------

@@ -302,7 +302,7 @@ class Mpeg2Encoder(VideoEncoder):
                 pred_block = prediction[plane]
             levels = all_levels[block_index]
             if levels is None:
-                pixels = kernels.add_clip(pred_block, np.zeros((8, 8), dtype=np.int64))
+                pixels = pred_block
             else:
                 coeffs = kernels.dequant_mpeg(levels, MPEG_INTER_MATRIX, qscale, intra=False)
                 pixels = kernels.add_clip(pred_block, kernels.idct8(coeffs))

@@ -147,7 +147,7 @@ class Mpeg4Decoder(VideoDecoder):
                 pred_block = prediction[plane]
             levels = all_levels[block_index]
             if levels is None:
-                pixels = kernels.add_clip(pred_block, np.zeros((8, 8), dtype=np.int64))
+                pixels = pred_block
             else:
                 coeffs = kernels.dequant_h263(levels, self._qscale, intra=False)
                 pixels = kernels.add_clip(pred_block, kernels.idct8(coeffs))

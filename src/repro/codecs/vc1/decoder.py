@@ -144,7 +144,7 @@ class Vc1Decoder(VideoDecoder):
                 pred_block = prediction[plane]
             block = blocks[block_index]
             if block is None:
-                pixels = kernels.add_clip(pred_block, np.zeros((8, 8), dtype=np.int64))
+                pixels = pred_block
             else:
                 residual = inverse_adaptive(kernels, block, self._qscale, self._qp264)
                 pixels = kernels.add_clip(pred_block, residual)

@@ -80,6 +80,14 @@ def _div_to_zero(numerator: int, denominator: int) -> int:
     return -((-numerator) // denominator)
 
 
+def _per_block(kernel, blocks, *args) -> np.ndarray:
+    """``kernel(block, *args)`` for every 4x4 block of an ``(n, 4, 4)`` stack."""
+    out = np.zeros(np.shape(blocks), dtype=np.int64)
+    for index, block in enumerate(blocks):
+        out[index] = kernel(block, *args)
+    return out
+
+
 _DCT8 = tables.DCT8_INT.tolist()
 _HAD4 = tables.HADAMARD4.tolist()
 _CF = tables.H264_CF.tolist()
@@ -232,7 +240,12 @@ class ScalarKernels:
         return _to_array(out)
 
     def inv_transform4(self, coeffs) -> np.ndarray:
-        """H.264 inverse core transform: ``(CI @ W @ CI^T + 128) >> 8``."""
+        """H.264 inverse core transform: ``(CI @ W @ CI^T + 128) >> 8``.
+
+        ``coeffs`` is one 4x4 block or an ``(n, 4, 4)`` stack of them.
+        """
+        if np.ndim(coeffs) == 3:
+            return _per_block(self.inv_transform4, coeffs)
         w = _to_list(coeffs)
         tmp = self._mat4(_CI, w)
         out = [
@@ -409,6 +422,9 @@ class ScalarKernels:
         return _to_array(out)
 
     def dequant_h264_4x4(self, levels, qp: int) -> np.ndarray:
+        """``W = level * V << (qp / 6)`` on one 4x4 block or an ``(n, 4, 4)`` stack."""
+        if np.ndim(levels) == 3:
+            return _per_block(self.dequant_h264_4x4, levels, qp)
         lv = _to_list(levels)
         v_row = _V[qp % 6]
         shift = qp // 6

@@ -95,6 +95,7 @@ class SimdKernels:
         return _CF @ x @ _CF.T
 
     def inv_transform4(self, coeffs) -> np.ndarray:
+        # A (4, 4) block or an (n, 4, 4) stack: matmul broadcasts over n.
         w = _i64(coeffs)
         return (_CI @ w @ _CI.T + 128) >> 8
 
@@ -193,6 +194,7 @@ class SimdKernels:
         return sign * ((mag * mf + f) >> qbits)
 
     def dequant_h264_4x4(self, levels, qp: int) -> np.ndarray:
+        # A (4, 4) block or an (n, 4, 4) stack: the (4, 4) V matrix broadcasts.
         lv = _i64(levels)
         v = tables.H264_V[qp % 6][_POS]
         return (lv * v) << (qp // 6)

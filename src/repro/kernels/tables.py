@@ -119,16 +119,6 @@ H264_POSITION_CLASS = np.array(
 )
 
 
-def h264_mf_matrix(qp: int) -> np.ndarray:
-    """Per-position forward multipliers for ``qp``."""
-    return H264_MF[qp % 6][H264_POSITION_CLASS]
-
-
-def h264_v_matrix(qp: int) -> np.ndarray:
-    """Per-position dequant multipliers for ``qp``."""
-    return H264_V[qp % 6][H264_POSITION_CLASS]
-
-
 # ---------------------------------------------------------------------------
 # MPEG quantisation matrices
 # ---------------------------------------------------------------------------

@@ -79,15 +79,18 @@ class PaddedPlane:
 
 
 def pad_plane(plane: np.ndarray, search_range: int) -> PaddedPlane:
-    """Edge-replicate ``plane`` for motion searches up to ``search_range``."""
+    """Edge-replicate ``plane`` for motion searches up to ``search_range``.
+
+    The samples are checked once to lie in 0..255.  Every interpolation
+    kernel averages or clips, so a prediction read from a checked plane is
+    in range too, and a decoder can store it unclipped where a block has no
+    residual.
+    """
     if search_range < 0:
         raise ConfigError(f"search_range must be >= 0, got {search_range}")
+    if plane.min() < 0 or plane.max() > 255:
+        raise CodecError("reference plane leaves the 0..255 sample range")
     pad = search_range + INTERP_MARGIN
     height, width = plane.shape
     padded = np.pad(plane.astype(np.int64), pad, mode="edge")
     return PaddedPlane(plane=padded, pad=pad, width=width, height=height)
-
-
-def max_mv_magnitude(padded: PaddedPlane, block_size: int) -> int:
-    """Largest integer-pel MV magnitude safely addressable in ``padded``."""
-    return padded.pad - INTERP_MARGIN

@@ -65,6 +65,35 @@ class TestGolden:
         psnr = sequence_psnr(golden_input(), decoded)
         assert psnr.combined > 33.0
 
+    @pytest.mark.parametrize("backend", ["scalar", "simd"])
+    def test_golden_stream_pictures_exact(self, codec, backend):
+        decoded = get_decoder(codec, backend=backend).decode(golden_stream(codec))
+        assert pictures_digest(decoded) == DECODED[codec], (
+            f"{codec} ({backend}) decodes the golden stream to different pictures"
+        )
+
+
+#: sha256 over the decoded pictures of each golden stream (see
+#: :func:`pictures_digest`).  Unlike the PSNR floor above these pin every
+#: sample, on both kernel backends: a faster reconstruction path must
+#: decode the frozen streams to exactly the same pictures.
+DECODED = {
+    "h264": "3f70640b6a6ec542aa2dd92a8e0331e4f4dd76db6a4e6ffe5557788872481741",
+    "mjpeg": "11a65add031c654e7a1834b3f4d9f5e0fedb8936ad2ad990f77b57d711423866",
+    "mpeg2": "44f3ccc51c6c44cc67ab4cfbd33e11ba1bd4529eca21b915d7817c146101ee18",
+    "mpeg4": "0e83c6cd64e01bc791f950b01f27b4c8bf6d71be02cce69c6eb00d808573ba6c",
+    "vc1": "a35c78d42f7480eb2c290a0ab1bdc2a71ad48813a347db19eb2965f17fa4ca1a",
+}
+
+
+def pictures_digest(video):
+    """sha256 over every decoded picture's Y, U and V samples, in display order."""
+    digest = hashlib.sha256()
+    for frame in video:
+        for plane in (frame.y, frame.u, frame.v):
+            digest.update(plane.astype("uint8").tobytes())
+    return digest.hexdigest()
+
 
 #: sha256 over the (exception class, ``bit_position``) of every damaged decode
 #: in :func:`damaged_outcomes`.  Recorded with the bit-serial reader, so a
@@ -142,6 +171,9 @@ def regenerate():  # pragma: no cover - maintenance helper
         stream = container.unpack(data)
         print(f'    "{codec}": ("{hashlib.sha256(data).hexdigest()}", '
               f"{stream.total_bytes}),")
+    for codec in sorted(DECODED):
+        decoded = get_decoder(codec).decode(golden_stream(codec))
+        print(f'    "{codec}": "{pictures_digest(decoded)}",')
     for codec in sorted(ERROR_PINS):
         print(f'    "{codec}": "{outcomes_digest(damaged_outcomes(codec))}",')
 

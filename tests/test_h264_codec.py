@@ -1,9 +1,14 @@
 """End-to-end tests for the H.264 class codec."""
 
+import numpy as np
 import pytest
 
-from repro.codecs.h264 import H264Config, H264Decoder, H264Encoder
+from repro.codecs.base import EncodedPicture, EncodedVideo
+from repro.codecs.frames import WorkingFrame
+from repro.codecs.h264 import H264Config, H264Decoder, H264Encoder, common
 from repro.codecs.mpeg2 import Mpeg2Config, Mpeg2Encoder
+from repro.common.bitstream import BitWriter
+from repro.common.expgolomb import write_se, write_ue
 from repro.common.gop import FrameType, GopStructure
 from repro.common.metrics import sequence_psnr
 from repro.errors import CodecError, ConfigError
@@ -138,3 +143,42 @@ class TestValidation:
         stream.codec = "mpeg4"
         with pytest.raises(CodecError):
             H264Decoder().decode(stream)
+
+
+def flat_frame(value, width=16, height=16):
+    return WorkingFrame(
+        np.full((height, width), value, dtype=np.int64),
+        np.full((height // 2, width // 2), value, dtype=np.int64),
+        np.full((height // 2, width // 2), value, dtype=np.int64),
+    )
+
+
+class TestPartitionReferences:
+    def test_each_partition_predicts_from_its_own_reference(self):
+        """A hand-written 16x8 P macroblock whose halves name different references."""
+        writer = BitWriter()
+        writer.write_bits(1, 2)   # picture type P
+        writer.write_bits(26, 6)  # qp
+        writer.write_bits(4, 8)   # search range
+        writer.write_bit(0)       # deblocking off
+        writer.write_bits(2, 4)   # reference frames
+        writer.write_bits(2, 4)   # active L0 size
+        write_ue(writer, common.P_16X8)
+        for ref_index in (0, 1):
+            write_ue(writer, ref_index)
+            write_se(writer, 0)   # MV difference x
+            write_se(writer, 0)   # MV difference y
+        writer.write_bits(0, 4)   # luma cbp
+        write_ue(writer, 0)       # chroma cbp
+        writer.align()
+        stream = EncodedVideo(codec="h264", width=16, height=16, fps=25)
+        picture = EncodedPicture(writer.to_bytes(), 2, FrameType.P)
+        # L0 lists past anchors nearest first: ref_idx 0 is display 1.
+        references = {1: flat_frame(200), 0: flat_frame(50)}
+        decoder = H264Decoder()
+        decoder.begin_picture()
+        frame = decoder.decode_picture(stream, picture, references)
+        for plane, half in (("y", 8), ("u", 4), ("v", 4)):
+            samples = frame.plane(plane)
+            assert np.all(samples[:half] == 200), plane
+            assert np.all(samples[half:] == 50), plane

@@ -177,6 +177,35 @@ class TestQuantisers:
         assert_same(SCALAR.dequant_h264_dc2(levels, qp), SIMD.dequant_h264_dc2(levels, qp))
 
 
+def stacks(low: int, high: int):
+    """``(n, 4, 4)`` stacks of 4x4 blocks, n = 1..16 (one macroblock's worth)."""
+    return st.lists(blocks(4, low, high), min_size=1, max_size=16).map(np.stack)
+
+
+class TestStackedH264Kernels:
+    """``dequant_h264_4x4`` and ``inv_transform4`` on a stack equal the per-block calls."""
+
+    @given(stacks(-2047, 2047), st.integers(0, 51))
+    def test_dequant_h264_stack(self, levels, qp):
+        results = []
+        for kernels in (SCALAR, SIMD):
+            stacked = kernels.dequant_h264_4x4(levels, qp)
+            assert stacked.shape == levels.shape
+            assert_same(stacked, [kernels.dequant_h264_4x4(block, qp) for block in levels])
+            results.append(stacked)
+        assert_same(*results)
+
+    @given(stacks(-30000, 30000))
+    def test_inv_transform4_stack(self, coeffs):
+        results = []
+        for kernels in (SCALAR, SIMD):
+            stacked = kernels.inv_transform4(coeffs)
+            assert stacked.shape == coeffs.shape
+            assert_same(stacked, [kernels.inv_transform4(block) for block in coeffs])
+            results.append(stacked)
+        assert_same(*results)
+
+
 class TestMotionCompensation:
     @given(planes(24, 24), st.integers(-7, 7), st.integers(-7, 7))
     @settings(max_examples=40)

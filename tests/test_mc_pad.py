@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import CodecError, ConfigError
 from repro.mc.chroma import chroma_mv_from_halfpel, chroma_mv_from_qpel
 from repro.mc.pad import INTERP_MARGIN, pad_plane
 from repro.me.types import MotionVector
@@ -42,6 +42,17 @@ class TestPadPlane:
     def test_negative_range_rejected(self):
         with pytest.raises(ConfigError):
             pad_plane(np.zeros((4, 4)), -1)
+
+    @pytest.mark.parametrize("value", [-1, 256])
+    def test_samples_outside_pixel_range_rejected(self, value):
+        plane = np.full((4, 4), 128, dtype=np.int64)
+        plane[2, 1] = value
+        with pytest.raises(CodecError):
+            pad_plane(plane, 2)
+
+    def test_pixel_range_limits_accepted(self):
+        plane = np.array([[0, 255], [255, 0]], dtype=np.int64)
+        assert pad_plane(plane, 1).plane.max() == 255
 
 
 class TestChromaMv:

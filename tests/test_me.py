@@ -8,7 +8,7 @@ from repro.codecs import container, get_encoder
 from repro.codecs.frames import WorkingFrame
 from repro.codecs.h264.deblock import DeblockFilter, DeblockMeta
 from repro.kernels import get_kernels
-from repro.mc.pad import pad_plane
+from repro.mc.pad import PaddedPlane, pad_plane
 from repro.me.cost import MotionCost, lambda_from_qp, mv_rate_bits
 from repro.me.search import (
     ALGORITHM_NAMES,
@@ -268,7 +268,8 @@ class TestPhasePlanes:
         assert not np.array_equal(block, stale)
 
     def test_samples_outside_pixel_range_raise(self):
-        padded = pad_plane(np.full((16, 16), 300, dtype=np.int64), 4)
+        # pad_plane rejects such a plane itself, so build the padded plane directly.
+        padded = PaddedPlane(np.full((40, 40), 300, dtype=np.int64), pad=12, width=16, height=16)
         px, py = padded.offset(0, 0)
         with pytest.raises(CodecError):
             padded.subpel_block(KERNELS, "mc_halfpel", 2, px, py, 8, 8, 1, 0)
