@@ -2,8 +2,10 @@
 
 Random tiny sequences must round-trip through every codec: decode succeeds,
 frame counts and geometry are preserved, and the reconstruction error stays
-within the quantiser's reach.  This is the fuzzing counterpart of the
-deterministic round-trip tests.
+within the quantiser's reach.  Every motion-compensated codec's decoder
+must also output exactly the anchor pictures its encoder reconstructed
+(the closed loop).  This is the fuzzing counterpart of the deterministic
+round-trip tests.
 """
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.codecs import CODEC_NAMES, get_decoder, get_encoder
+from repro.common.gop import FrameType, GopStructure
 from repro.common.metrics import sequence_psnr
 from repro.common.yuv import YuvFrame, YuvSequence
 
@@ -53,13 +56,46 @@ def fields_for(codec, video):
     return fields
 
 
+@st.composite
+def codec_tools(draw, codec):
+    """Random GOP shape and per-codec tool switches for ``codec``."""
+    fields = {}
+    if codec != "mjpeg":
+        fields["gop"] = GopStructure(bframes=draw(st.integers(0, 2)))
+    if codec == "mpeg4":
+        fields["qpel"] = draw(st.booleans())
+        fields["four_mv"] = draw(st.booleans())
+    elif codec == "vc1":
+        fields["adaptive_transform"] = draw(st.booleans())
+    return fields
+
+
+def capture_reconstructions(encoder):
+    """Record, by display index, every frame ``_encode_picture`` returns."""
+    reconstructions = {}
+    encode_picture = encoder._encode_picture
+
+    def capture(entry, *args):
+        payload, recon = encode_picture(entry, *args)
+        reconstructions[entry.display_index] = (entry.frame_type, recon)
+        return payload, recon
+
+    encoder._encode_picture = capture
+    return reconstructions
+
+
 @pytest.mark.parametrize("codec", CODEC_NAMES + ("mjpeg", "vc1"))
 class TestRandomRoundTrips:
-    @given(video=tiny_videos())
+    @given(video=tiny_videos(), data=st.data())
     @settings(max_examples=8, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    def test_roundtrip(self, codec, video):
-        stream = get_encoder(codec, **fields_for(codec, video)).encode_sequence(video)
+    def test_roundtrip(self, codec, video, data):
+        fields = fields_for(codec, video)
+        fields.update(data.draw(codec_tools(codec)))
+        encoder = get_encoder(codec, **fields)
+        # MJPEG's encoder builds no reconstruction: it keeps the PSNR floor only.
+        reconstructions = {} if codec == "mjpeg" else capture_reconstructions(encoder)
+        stream = encoder.encode_sequence(video)
         decoded = get_decoder(codec).decode(stream)
         assert len(decoded) == len(video)
         assert (decoded.width, decoded.height) == (video.width, video.height)
@@ -67,6 +103,16 @@ class TestRandomRoundTrips:
         # Random jitter content still reconstructs within the coarse-quant
         # regime; anything below this indicates a prediction drift bug.
         assert psnr.y > 22.0
+        # The H.264 encoder deblocks anchors only, so the exact check
+        # covers I and P pictures.
+        for display, (frame_type, recon) in reconstructions.items():
+            if frame_type is FrameType.B:
+                continue
+            expected = recon.to_yuv()
+            for plane in ("y", "u", "v"):
+                np.testing.assert_array_equal(
+                    getattr(decoded[display], plane), getattr(expected, plane),
+                    err_msg=f"{codec} {frame_type} picture {display} plane {plane}")
 
     @given(video=tiny_videos())
     @settings(max_examples=4, deadline=None,

@@ -106,10 +106,11 @@ class TestCodecSeams:
                              ("vc1", {"qscale": 5})):
             telemetry.reset()
             telemetry.enable()
-            encode(codec, video, **extra)
+            stream = encode(codec, video, **extra)
             telemetry.disable()
             assert len(telemetry.current_trace().spans(f"{codec}.encode")) == 1, codec
-            assert len(telemetry.current_trace().spans(f"{codec}.encode.picture")) > 0, codec
+            pictures = telemetry.current_trace().spans(f"{codec}.encode.picture")
+            assert len(pictures) == stream.frame_count, codec
 
     def test_concealment_events_are_counted_and_tagged(self, video):
         stream = encode("mpeg2", video, qscale=5)
