@@ -636,10 +636,6 @@ class _FunctionContext:
         return self.local_functions.get(name)
 
 
-def _own_statements(body: Sequence[ast.stmt]) -> List[ast.stmt]:
-    return list(body)
-
-
 def _iter_own_nodes(nodes: Iterable[ast.AST]) -> List[ast.AST]:
     """Every node in ``nodes`` excluding nested def/class interiors
     (their decorators and default expressions evaluate here, so those

@@ -164,10 +164,6 @@ class FaultPlan:
         self._hits[point] = count
         return count == armed
 
-    @property
-    def armed_points(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._crashes))
-
     # ------------------------------------------------------------------
     # seeded fault stream
     # ------------------------------------------------------------------

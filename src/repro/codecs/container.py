@@ -28,20 +28,11 @@ from pathlib import Path
 from typing import Union
 
 from repro.codecs.base import EncodedPicture, EncodedVideo
-from repro.common.gop import FrameType
+from repro.common.gop import FRAME_TYPE_CODE, FRAME_TYPE_FROM_CODE
 from repro.errors import BitstreamError
 
 MAGIC = b"HDVB"
 VERSION = 1
-
-#: Frame-type wire codes shared by the container's picture headers and the
-#: transport packetizer (:mod:`repro.transport.packetize`), so a packet
-#: header and a container header spell the same picture the same way.
-FRAME_TYPE_CODE = {FrameType.I: 0, FrameType.P: 1, FrameType.B: 2}
-FRAME_TYPE_FROM_CODE = {code: ftype for ftype, code in FRAME_TYPE_CODE.items()}
-
-_FRAME_TYPE_CODE = FRAME_TYPE_CODE
-_FRAME_TYPE_FROM_CODE = FRAME_TYPE_FROM_CODE
 
 PathLike = Union[str, Path]
 
@@ -64,7 +55,7 @@ def pack(stream: EncodedVideo) -> bytes:
             struct.pack(
                 ">IBI",
                 picture.display_index,
-                _FRAME_TYPE_CODE[picture.frame_type],
+                FRAME_TYPE_CODE[picture.frame_type],
                 len(picture.payload),
             )
         )
@@ -101,7 +92,7 @@ def unpack(data: bytes) -> EncodedVideo:
     for _ in range(count):
         display_index, type_code, length = struct.unpack(">IBI", take(9))
         try:
-            frame_type = _FRAME_TYPE_FROM_CODE[type_code]
+            frame_type = FRAME_TYPE_FROM_CODE[type_code]
         except KeyError:
             raise BitstreamError(f"invalid frame type code {type_code}") from None
         payload = bytes(take(length))

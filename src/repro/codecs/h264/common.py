@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.codecs.h264 import intra
 from repro.codecs.h264.cavlc import nc_context
 
 #: Offsets of the sixteen 4x4 luma blocks inside a macroblock, raster order.
@@ -64,3 +65,14 @@ B_SKIP, B_BI, B_FWD, B_BWD, B_I4, B_I16 = range(6)
 
 #: I-picture macroblock mode code numbers.
 I_4X4, I_16X16 = range(2)
+
+
+def intra4_mpm(modes: Dict[Tuple[int, int], int], bx: int, by: int) -> int:
+    """Most probable Intra 4x4 mode of luma block (bx, by), given the
+    mode index of every block coded so far: the smaller of its left and
+    top neighbours' modes, or DC where either is missing."""
+    left = modes.get((bx - 1, by))
+    top = modes.get((bx, by - 1))
+    if left is None or top is None:
+        return intra.DC_MODE_INDEX
+    return min(left, top)

@@ -117,13 +117,6 @@ class H264Decoder(VideoDecoder):
     # intra macroblocks
     # ------------------------------------------------------------------
 
-    def _intra4_mpm(self, bx: int, by: int) -> int:
-        left = self._intra4_modes.get((bx - 1, by))
-        top = self._intra4_modes.get((bx, by - 1))
-        if left is None or top is None:
-            return intra.DC_MODE_INDEX
-        return min(left, top)
-
     def _decode_i4_mb(self, reader: BitReader, mbx: int, mby: int) -> None:
         kernels = self.kernels
         qp = self._qp
@@ -131,7 +124,7 @@ class H264Decoder(VideoDecoder):
         for block_index, (off_x, off_y) in enumerate(common.LUMA_OFFSETS):
             x, y = x0 + off_x, y0 + off_y
             bx, by = x // 4, y // 4
-            mpm = self._intra4_mpm(bx, by)
+            mpm = common.intra4_mpm(self._intra4_modes, bx, by)
             if reader.read_bit():
                 mode_index = mpm
             else:

@@ -25,25 +25,21 @@ from repro.codecs.h264.deblock import DeblockFilter, DeblockMeta
 from repro.codecs.h264.motion import PARTITION_SHAPES, MvGrid4
 from repro.common.bitstream import BitWriter
 from repro.common.expgolomb import se_bit_length, ue_bit_length, write_se, write_ue
-from repro.common.gop import CodedFrame, FrameType
+from repro.common.gop import FRAME_TYPE_CODE, CodedFrame, FrameType
 from repro.common.yuv import YuvSequence
 from repro.errors import CodecError
 from repro.kernels import get_kernels
 from repro.me.cost import MotionCost, lambda_from_qp
 from repro.me.search import run_search
 from repro.me.subpel import refine_subpel
-from repro.me.types import MotionVector, SearchResult, ZERO_MV
+from repro.me.types import MotionVector, SearchResult, div_to_zero
 from repro.transform.zigzag import ZIGZAG_2X2, scan, scan4, unscan4
 
 INTRA_BIAS = 96
 
 
-def _div_to_zero(value: int, divisor: int) -> int:
-    return value // divisor if value >= 0 else -((-value) // divisor)
-
-
 def _int_mv(mv: MotionVector) -> MotionVector:
-    return MotionVector(_div_to_zero(mv.x, 4), _div_to_zero(mv.y, 4))
+    return MotionVector(div_to_zero(mv.x, 4), div_to_zero(mv.y, 4))
 
 
 @dataclass
@@ -116,8 +112,6 @@ class H264Encoder(VideoEncoder):
     # picture level
     # ------------------------------------------------------------------
 
-    _TYPE_CODE = {FrameType.I: 0, FrameType.P: 1, FrameType.B: 2}
-
     def _encode_picture(
         self,
         entry: CodedFrame,
@@ -126,7 +120,7 @@ class H264Encoder(VideoEncoder):
     ) -> Tuple[bytes, WorkingFrame]:
         config = self.config
         writer = BitWriter()
-        writer.write_bits(self._TYPE_CODE[entry.frame_type], 2)
+        writer.write_bits(FRAME_TYPE_CODE[entry.frame_type], 2)
         writer.write_bits(config.qp, 6)
         writer.write_bits(config.search_range, 8)
         writer.write_bit(1 if config.deblock else 0)
@@ -164,13 +158,6 @@ class H264Encoder(VideoEncoder):
     # ------------------------------------------------------------------
     # intra coding
     # ------------------------------------------------------------------
-
-    def _intra4_mpm(self, bx: int, by: int) -> int:
-        left = self._intra4_modes.get((bx - 1, by))
-        top = self._intra4_modes.get((bx, by - 1))
-        if left is None or top is None:
-            return intra.DC_MODE_INDEX
-        return min(left, top)
 
     def _encode_i_mb(self, writer: BitWriter, source: WorkingFrame,
                      mbx: int, mby: int) -> None:
@@ -228,7 +215,7 @@ class H264Encoder(VideoEncoder):
             bx, by = x // 4, y // 4
             modes = intra.available_luma4_modes(y > 0, x > 0)
             best_mode, best_pred, best_cost = None, None, None
-            mpm = self._intra4_mpm(bx, by)
+            mpm = common.intra4_mpm(self._intra4_modes, bx, by)
             for mode in modes:
                 prediction = intra.predict_luma4(self._recon.y, x, y, mode)
                 mode_index = intra.LUMA4_MODES.index(mode)

@@ -6,6 +6,7 @@ import numpy as np
 
 from repro.codecs.base import EncodedPicture, EncodedVideo, VideoDecoder
 from repro.codecs.frames import WorkingFrame
+from repro.codecs.hybrid import BLOCK_LAYOUT
 from repro.codecs.mjpeg import tables
 from repro.codecs.mjpeg.coefficients import decode_ac, decode_dc
 from repro.kernels import get_kernels
@@ -37,7 +38,7 @@ class MjpegDecoder(VideoDecoder):
         dc_pred = dict.fromkeys(("y", "u", "v"), 0)
         for mby in range(stream.height // 16):
             for mbx in range(stream.width // 16):
-                for plane, off_x, off_y in tables.BLOCK_LAYOUT:
+                for plane, off_x, off_y in BLOCK_LAYOUT:
                     base = 16 if plane == "y" else 8
                     x = mbx * base + off_x
                     y = mby * base + off_y

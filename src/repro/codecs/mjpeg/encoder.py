@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.codecs.base import EncodedPicture, EncodedVideo, VideoEncoder
 from repro.codecs.frames import WorkingFrame
+from repro.codecs.hybrid import BLOCK_LAYOUT
 from repro.codecs.mjpeg import tables
 from repro.codecs.mjpeg.coefficients import encode_ac, encode_dc
 from repro.codecs.mjpeg.config import MjpegConfig
@@ -57,7 +58,7 @@ class MjpegEncoder(VideoEncoder):
         dc_pred = dict.fromkeys(("y", "u", "v"), 0)
         for mby in range(self.config.mb_height):
             for mbx in range(self.config.mb_width):
-                for plane, off_x, off_y in tables.BLOCK_LAYOUT:
+                for plane, off_x, off_y in BLOCK_LAYOUT:
                     base = 16 if plane == "y" else 8
                     x = mbx * base + off_x
                     y = mby * base + off_y

@@ -91,13 +91,3 @@ DC_TABLE = VlcTable.from_frequencies(
     {size: geometric(0.35, size) + 1e-9 for size in range(DC_MAX_SIZE + 1)},
     name="mjpeg-dc",
 )
-
-#: Offsets of the six 8x8 blocks inside a macroblock: (plane, x, y).
-BLOCK_LAYOUT: Tuple[Tuple[str, int, int], ...] = (
-    ("y", 0, 0),
-    ("y", 8, 0),
-    ("y", 0, 8),
-    ("y", 8, 8),
-    ("u", 0, 0),
-    ("v", 0, 0),
-)

@@ -4,21 +4,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.codecs.base import CodecConfig
-from repro.transform.qp import validate_mpeg_qscale
+from repro.codecs.hybrid import HybridConfig
 
 
 @dataclass(frozen=True)
-class Mpeg2Config(CodecConfig):
+class Mpeg2Config(HybridConfig):
     """MPEG-2 encoder settings.
 
     ``qscale`` is the constant quantiser scale; the paper encodes with
     ``vqscale=5`` (Table IV).  Motion estimation defaults to EPZS with
     half-pel refinement, per Section IV.
     """
-
-    qscale: int = 5
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        validate_mpeg_qscale(self.qscale)

@@ -9,7 +9,7 @@ a coded-block-pattern table and macroblock mode tables — the table
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 from repro.codecs.huffman import VlcTable, geometric
 
@@ -62,21 +62,6 @@ MB_P_TABLE = VlcTable.from_frequencies(
 MB_B_TABLE = VlcTable.from_frequencies(
     {"bi": 0.34, "fwd": 0.26, "skip": 0.22, "bwd": 0.14, "intra": 0.04},
     name="mpeg2-mb-b",
-)
-
-#: Block index -> coded block pattern bit (Y0 Y1 Y2 Y3 U V, MSB first).
-def cbp_bit(block_index: int) -> int:
-    return 1 << (5 - block_index)
-
-
-#: Offsets of the six 8x8 blocks inside a macroblock: (plane, x, y).
-BLOCK_LAYOUT: Tuple[Tuple[str, int, int], ...] = (
-    ("y", 0, 0),
-    ("y", 8, 0),
-    ("y", 0, 8),
-    ("y", 8, 8),
-    ("u", 0, 0),
-    ("v", 0, 0),
 )
 
 #: Initial intra DC predictor (the level of a flat mid-grey block).

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.codecs.base import CodecConfig
-from repro.transform.qp import validate_mpeg_qscale
+from repro.codecs.hybrid import HybridConfig
 
 
 @dataclass(frozen=True)
-class Mpeg4Config(CodecConfig):
+class Mpeg4Config(HybridConfig):
     """MPEG-4 ASP encoder settings.
 
     Defaults follow the paper's Xvid command line (Table IV):
@@ -18,10 +17,5 @@ class Mpeg4Config(CodecConfig):
     inter mode.
     """
 
-    qscale: int = 5
     qpel: bool = True
     four_mv: bool = True
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        validate_mpeg_qscale(self.qscale)

@@ -1,4 +1,4 @@
-"""Quarter-pel macroblock prediction shared by the MPEG-4 encoder/decoder."""
+"""Four-MV macroblock prediction shared by the MPEG-4 encoder/decoder."""
 
 from __future__ import annotations
 
@@ -7,34 +7,8 @@ from typing import Dict, Sequence
 import numpy as np
 
 from repro.codecs.frames import WorkingFrame
-from repro.mc.chroma import chroma_mv_from_qpel
-from repro.me.types import MotionVector
+from repro.me.types import MotionVector, div_to_zero
 from repro.robustness.guard import check_motion_vector
-
-
-def _div_to_zero(value: int, divisor: int) -> int:
-    return value // divisor if value >= 0 else -((-value) // divisor)
-
-
-def predict_mb_qpel(
-    kernels,
-    reference: WorkingFrame,
-    mbx: int,
-    mby: int,
-    mv: MotionVector,
-    search_range: int,
-) -> Dict[str, np.ndarray]:
-    """One-MV prediction: quarter-pel luma, half-pel chroma."""
-    check_motion_vector(mv, search_range, 4)
-    luma = reference.padded("y", search_range)
-    px, py = luma.offset(mbx * 16, mby * 16)
-    prediction = {"y": kernels.mc_qpel_bilinear(luma.plane, px, py, 16, 16, mv.x, mv.y)}
-    cmv = chroma_mv_from_qpel(mv)
-    for plane in ("u", "v"):
-        padded = reference.padded(plane, search_range)
-        cx, cy = padded.offset(mbx * 8, mby * 8)
-        prediction[plane] = kernels.mc_halfpel(padded.plane, cx, cy, 8, 8, cmv.x, cmv.y)
-    return prediction
 
 
 def predict_mb_4mv(
@@ -64,21 +38,9 @@ def predict_mb_4mv(
     prediction = {"y": assembled}
     total_x = sum(mv.x for mv in mvs)
     total_y = sum(mv.y for mv in mvs)
-    cmv = MotionVector(_div_to_zero(total_x, 16), _div_to_zero(total_y, 16))
+    cmv = MotionVector(div_to_zero(total_x, 16), div_to_zero(total_y, 16))
     for plane in ("u", "v"):
         padded = reference.padded(plane, search_range)
         cx, cy = padded.offset(mbx * 8, mby * 8)
         prediction[plane] = kernels.mc_halfpel(padded.plane, cx, cy, 8, 8, cmv.x, cmv.y)
     return prediction
-
-
-def average_prediction(
-    kernels,
-    forward: Dict[str, np.ndarray],
-    backward: Dict[str, np.ndarray],
-) -> Dict[str, np.ndarray]:
-    """Bi-directional prediction: rounded average of both directions."""
-    return {
-        name: kernels.average(forward[name], backward[name])
-        for name in ("y", "u", "v")
-    }

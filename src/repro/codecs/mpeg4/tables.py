@@ -8,7 +8,7 @@ compresses better.  Tables are built from priors as in the MPEG-2 codec.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 from repro.codecs.huffman import VlcTable, geometric
 
@@ -60,20 +60,6 @@ MB_B_TABLE = VlcTable.from_frequencies(
     name="mpeg4-mb-b",
 )
 
-
-def cbp_bit(block_index: int) -> int:
-    return 1 << (5 - block_index)
-
-
-#: Offsets of the six 8x8 blocks inside a macroblock: (plane, x, y).
-BLOCK_LAYOUT: Tuple[Tuple[str, int, int], ...] = (
-    ("y", 0, 0),
-    ("y", 8, 0),
-    ("y", 0, 8),
-    ("y", 8, 8),
-    ("u", 0, 0),
-    ("v", 0, 0),
-)
 
 #: Default intra DC level when a prediction neighbour is missing
 #: (the level of a flat mid-grey block with dc_scaler = 8).

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.codecs.base import CodecConfig
-from repro.transform.qp import validate_mpeg_qscale
+from repro.codecs.hybrid import HybridConfig
 
 
 @dataclass(frozen=True)
-class Vc1Config(CodecConfig):
+class Vc1Config(HybridConfig):
     """VC-1 class encoder settings.
 
     ``qscale`` is the constant quantiser scale on the MPEG 1..31 scale
@@ -18,9 +17,4 @@ class Vc1Config(CodecConfig):
     ablation baseline).
     """
 
-    qscale: int = 5
     adaptive_transform: bool = True
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        validate_mpeg_qscale(self.qscale)

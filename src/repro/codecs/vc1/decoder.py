@@ -2,217 +2,40 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List
 
 import numpy as np
 
-from repro.codecs.base import EncodedPicture, EncodedVideo, VideoDecoder
-from repro.codecs.frames import WorkingFrame
-from repro.codecs.mpeg4.acdc import AcDcStore, apply_ac_prediction, predict
-from repro.codecs.mpeg4.motion import MvGrid
-from repro.codecs.mpeg4.prediction import average_prediction, predict_mb_qpel
+from repro.codecs.mpeg4.acdc import AcDcDecoder
 from repro.codecs.vc1 import tables
 from repro.codecs.vc1.coefficients import decode_run_level
 from repro.codecs.vc1.transform import TransformedBlock, inverse_adaptive
 from repro.common.bitstream import BitReader
-from repro.common.expgolomb import read_se
-from repro.common.gop import FrameType
-from repro.errors import CodecError
-from repro.kernels import get_kernels
-from repro.me.types import MotionVector, ZERO_MV
-from repro.robustness.guard import check_header, read_frame_type
 from repro.transform.qp import h264_qp_from_mpeg
 from repro.transform.zigzag import unscan4, unscan8
 
 
-class Vc1Decoder(VideoDecoder):
+class Vc1Decoder(AcDcDecoder):
     """VC-1 class decoder."""
 
     codec_name = "vc1"
+    tables = tables
+    unit = 4
 
-    def __init__(self, backend: str = "simd") -> None:
-        self.kernels = get_kernels(backend)
-
-    def decode_picture(self, stream: EncodedVideo, picture: EncodedPicture,
-                       references: Dict[int, WorkingFrame]) -> WorkingFrame:
-        reader = self._open_reader(picture.payload)
-        frame_type = read_frame_type(reader, expected=picture.frame_type)
-        self._qscale = check_header("qscale", reader.read_bits(5), 1, 31)
-        self._qp264 = h264_qp_from_mpeg(self._qscale)
-        self._search_range = check_header(
-            "search_range", reader.read_bits(8), 1, 255
-        )
+    def _read_tools(self, reader: BitReader) -> None:
         self._adaptive = bool(reader.read_bit())
+        self._qp264 = h264_qp_from_mpeg(self._qscale)
 
-        ordered = sorted(references)
-        forward = backward = None
-        if frame_type is FrameType.P:
-            if not ordered:
-                raise CodecError("P picture without a reference")
-            forward = references[ordered[-1]]
-        elif frame_type is FrameType.B:
-            if len(ordered) < 2:
-                raise CodecError("B picture requires two reference frames")
-            forward = references[ordered[-2]]
-            backward = references[ordered[-1]]
+    def _read_intra_ac(self, reader: BitReader) -> List[int]:
+        return decode_run_level(reader, 64, start=1)
 
-        mb_width = stream.width // 16
-        mb_height = stream.height // 16
-        recon = WorkingFrame.blank(stream.width, stream.height)
-        self._grid = MvGrid(mb_width, mb_height)
-        self._acdc = {name: AcDcStore() for name in ("y", "u", "v")}
+    def _read_block(self, reader: BitReader) -> TransformedBlock:
+        size = reader.read_bit() if self._adaptive else tables.TRANSFORM_8X8
+        if size == tables.TRANSFORM_8X8:
+            scanned = decode_run_level(reader, 64)
+            return TransformedBlock(size, levels8=unscan8(scanned))
+        levels4 = [unscan4(decode_run_level(reader, 16)) for _ in tables.SUBBLOCK_OFFSETS]
+        return TransformedBlock(size, levels4=levels4)
 
-        for mby in range(mb_height):
-            self._pmv_fwd = ZERO_MV
-            self._pmv_bwd = ZERO_MV
-            for mbx in range(mb_width):
-                if frame_type is FrameType.I:
-                    self._decode_intra_mb(reader, recon, mbx, mby)
-                elif frame_type is FrameType.P:
-                    self._decode_p_mb(reader, recon, forward, mbx, mby)
-                else:
-                    self._decode_b_mb(reader, recon, forward, backward, mbx, mby)
-        return recon
-
-    # ------------------------------------------------------------------
-
-    def _block_grid(self, plane: str, mbx: int, mby: int, block_index: int):
-        if plane == "y":
-            return 2 * mbx + (block_index & 1), 2 * mby + (block_index >> 1)
-        return mbx, mby
-
-    def _decode_intra_mb(self, reader: BitReader, recon: WorkingFrame,
-                         mbx: int, mby: int) -> None:
-        kernels = self.kernels
-        qscale = self._qscale
-        use_prediction = bool(reader.read_bit())
-        cbp = tables.CBP_TABLE.read(reader)
-        for block_index, (plane, off_x, off_y) in enumerate(tables.BLOCK_LAYOUT):
-            base = 16 if plane == "y" else 8
-            x = mbx * base + off_x
-            y = mby * base + off_y
-            bx, by = self._block_grid(plane, mbx, mby, block_index)
-            direction, pred_dc, pred_ac = predict(self._acdc[plane], bx, by)
-            dc = pred_dc + read_se(reader)
-            if cbp & (1 << (5 - block_index)):
-                scanned = decode_run_level(reader, 64, start=1)
-            else:
-                scanned = [0] * 64
-            levels = unscan8(scanned)
-            if use_prediction:
-                levels = apply_ac_prediction(levels, direction, pred_ac, +1)
-            levels[0, 0] = dc
-            self._acdc[plane].put(bx, by, levels)
-            coeffs = kernels.dequant_h263(levels, qscale, intra=True)
-            pixels = kernels.add_clip(
-                np.zeros((8, 8), dtype=np.int64), kernels.idct8(coeffs)
-            )
-            recon.store_block(plane, x, y, pixels)
-
-    # ------------------------------------------------------------------
-
-    def _read_residual(self, reader: BitReader) -> List[Optional[TransformedBlock]]:
-        cbp = tables.CBP_TABLE.read(reader)
-        blocks: List[Optional[TransformedBlock]] = []
-        for block_index in range(6):
-            if not cbp & (1 << (5 - block_index)):
-                blocks.append(None)
-                continue
-            size = reader.read_bit() if self._adaptive else tables.TRANSFORM_8X8
-            if size == tables.TRANSFORM_8X8:
-                scanned = decode_run_level(reader, 64)
-                blocks.append(TransformedBlock(size, levels8=unscan8(scanned)))
-            else:
-                levels4 = [
-                    unscan4(decode_run_level(reader, 16))
-                    for _ in tables.SUBBLOCK_OFFSETS
-                ]
-                blocks.append(TransformedBlock(size, levels4=levels4))
-        return blocks
-
-    def _reconstruct_inter(self, recon: WorkingFrame,
-                           prediction: Dict[str, np.ndarray],
-                           blocks: List[Optional[TransformedBlock]],
-                           mbx: int, mby: int) -> None:
-        kernels = self.kernels
-        for block_index, (plane, off_x, off_y) in enumerate(tables.BLOCK_LAYOUT):
-            if plane == "y":
-                x, y = 16 * mbx + off_x, 16 * mby + off_y
-                pred_block = prediction["y"][off_y : off_y + 8, off_x : off_x + 8]
-            else:
-                x, y = 8 * mbx, 8 * mby
-                pred_block = prediction[plane]
-            block = blocks[block_index]
-            if block is None:
-                pixels = pred_block
-            else:
-                residual = inverse_adaptive(kernels, block, self._qscale, self._qp264)
-                pixels = kernels.add_clip(pred_block, residual)
-            recon.store_block(plane, x, y, pixels)
-
-    def _predict(self, reference: WorkingFrame, mbx: int, mby: int,
-                 mv: MotionVector) -> Dict[str, np.ndarray]:
-        return predict_mb_qpel(
-            self.kernels, reference, mbx, mby, mv, self._search_range
-        )
-
-    # ------------------------------------------------------------------
-
-    def _decode_p_mb(self, reader: BitReader, recon: WorkingFrame,
-                     forward: WorkingFrame, mbx: int, mby: int) -> None:
-        mode = tables.MB_P_TABLE.read(reader)
-        bx, by = 2 * mbx, 2 * mby
-        if mode == "intra":
-            self._decode_intra_mb(reader, recon, mbx, mby)
-            self._grid.set_block(bx, by, 2, 2, ZERO_MV)
-            return
-        if mode == "skip":
-            self._grid.set_block(bx, by, 2, 2, ZERO_MV)
-            prediction = self._predict(forward, mbx, mby, ZERO_MV)
-            self._reconstruct_inter(recon, prediction, [None] * 6, mbx, mby)
-            return
-        predictor = self._grid.predictor(bx, by, 2)
-        mv = MotionVector(predictor.x + read_se(reader), predictor.y + read_se(reader))
-        self._grid.set_block(bx, by, 2, 2, mv)
-        blocks = self._read_residual(reader)
-        prediction = self._predict(forward, mbx, mby, mv)
-        self._reconstruct_inter(recon, prediction, blocks, mbx, mby)
-
-    def _decode_b_mb(self, reader: BitReader, recon: WorkingFrame,
-                     forward: WorkingFrame, backward: WorkingFrame,
-                     mbx: int, mby: int) -> None:
-        mode = tables.MB_B_TABLE.read(reader)
-        if mode == "intra":
-            self._decode_intra_mb(reader, recon, mbx, mby)
-            self._pmv_fwd = ZERO_MV
-            self._pmv_bwd = ZERO_MV
-            return
-        if mode == "skip":
-            prediction = self._predict(forward, mbx, mby, self._pmv_fwd)
-            self._reconstruct_inter(recon, prediction, [None] * 6, mbx, mby)
-            return
-        mv_fwd = mv_bwd = None
-        if mode in ("fwd", "bi"):
-            mv_fwd = MotionVector(
-                self._pmv_fwd.x + read_se(reader),
-                self._pmv_fwd.y + read_se(reader),
-            )
-            self._pmv_fwd = mv_fwd
-        if mode in ("bwd", "bi"):
-            mv_bwd = MotionVector(
-                self._pmv_bwd.x + read_se(reader),
-                self._pmv_bwd.y + read_se(reader),
-            )
-            self._pmv_bwd = mv_bwd
-        blocks = self._read_residual(reader)
-        if mode == "fwd":
-            prediction = self._predict(forward, mbx, mby, mv_fwd)
-        elif mode == "bwd":
-            prediction = self._predict(backward, mbx, mby, mv_bwd)
-        else:
-            prediction = average_prediction(
-                self.kernels,
-                self._predict(forward, mbx, mby, mv_fwd),
-                self._predict(backward, mbx, mby, mv_bwd),
-            )
-        self._reconstruct_inter(recon, prediction, blocks, mbx, mby)
+    def _dequantise_inter(self, block: TransformedBlock) -> np.ndarray:
+        return inverse_adaptive(self.kernels, block, self._qscale, self._qp264)

@@ -58,16 +58,6 @@ MB_B_TABLE = VlcTable.from_frequencies(
     name="vc1-mb-b",
 )
 
-#: Offsets of the six 8x8 blocks inside a macroblock: (plane, x, y).
-BLOCK_LAYOUT: Tuple[Tuple[str, int, int], ...] = (
-    ("y", 0, 0),
-    ("y", 8, 0),
-    ("y", 0, 8),
-    ("y", 8, 8),
-    ("u", 0, 0),
-    ("v", 0, 0),
-)
-
 #: Offsets of the four 4x4 sub-blocks inside an 8x8 block.
 SUBBLOCK_OFFSETS: Tuple[Tuple[int, int], ...] = ((0, 0), (4, 0), (0, 4), (4, 4))
 

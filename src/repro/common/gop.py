@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import ConfigError
 
@@ -27,6 +27,15 @@ class FrameType(enum.Enum):
     @property
     def is_anchor(self) -> bool:
         return self is not FrameType.B
+
+
+#: Wire code of each frame type: the 2-bit picture-type field of every
+#: codec's picture header, the container's picture headers and the
+#: transport packet headers all spell a picture type the same way.
+FRAME_TYPE_CODE: Dict[FrameType, int] = {FrameType.I: 0, FrameType.P: 1, FrameType.B: 2}
+FRAME_TYPE_FROM_CODE: Dict[int, FrameType] = {
+    code: frame_type for frame_type, code in FRAME_TYPE_CODE.items()
+}
 
 
 @dataclass(frozen=True)

@@ -15,20 +15,14 @@ its own units:
 
 from __future__ import annotations
 
-from repro.me.types import MotionVector
-
-
-def _div_to_zero(value: int, divisor: int) -> int:
-    if value >= 0:
-        return value // divisor
-    return -((-value) // divisor)
+from repro.me.types import MotionVector, div_to_zero
 
 
 def chroma_mv_from_halfpel(mv: MotionVector) -> MotionVector:
     """Half-pel luma MV -> half-pel chroma MV (MPEG-2 class)."""
-    return MotionVector(_div_to_zero(mv.x, 2), _div_to_zero(mv.y, 2))
+    return MotionVector(div_to_zero(mv.x, 2), div_to_zero(mv.y, 2))
 
 
 def chroma_mv_from_qpel(mv: MotionVector) -> MotionVector:
     """Quarter-pel luma MV -> half-pel chroma MV (MPEG-4 ASP class)."""
-    return MotionVector(_div_to_zero(mv.x, 4), _div_to_zero(mv.y, 4))
+    return MotionVector(div_to_zero(mv.x, 4), div_to_zero(mv.y, 4))

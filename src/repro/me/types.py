@@ -37,6 +37,12 @@ class MotionVector:
 ZERO_MV = MotionVector(0, 0)
 
 
+def div_to_zero(value: int, divisor: int) -> int:
+    """``value / divisor`` rounded toward zero, the MPEG convention for
+    converting motion vectors between units."""
+    return value // divisor if value >= 0 else -((-value) // divisor)
+
+
 @dataclass(frozen=True)
 class SearchResult:
     """Outcome of a motion search: best vector and its cost."""

@@ -22,11 +22,8 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.common.bitstream import BitReader
-from repro.common.gop import FrameType
+from repro.common.gop import FRAME_TYPE_FROM_CODE, FrameType
 from repro.errors import BitstreamError, ReproError, TruncationError
-
-#: Frame-type header code -> type, shared by every codec's picture header.
-FRAME_TYPE_FROM_CODE = {0: FrameType.I, 1: FrameType.P, 2: FrameType.B}
 
 
 def normalize_decode_error(

@@ -45,8 +45,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
 from repro.codecs.base import EncodedPicture, EncodedVideo
-from repro.codecs.container import FRAME_TYPE_CODE, FRAME_TYPE_FROM_CODE
-from repro.common.gop import FrameType
+from repro.common.gop import FRAME_TYPE_CODE, FRAME_TYPE_FROM_CODE, FrameType
 from repro.errors import BitstreamError, ConfigError
 from repro.telemetry.metrics import registry as telemetry_registry
 from repro.telemetry.trace import state as telemetry_state
