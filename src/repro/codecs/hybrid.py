@@ -51,14 +51,16 @@ from repro.transform.qp import h264_qp_from_mpeg, validate_mpeg_qscale
 #: macroblock falls back to intra coding, as in FFmpeg's mb decision.
 INTRA_BIAS = 128
 
-#: Offsets of the six 8x8 blocks inside a macroblock: (plane, x, y).
-BLOCK_LAYOUT: Tuple[Tuple[str, int, int], ...] = (
-    ("y", 0, 0),
-    ("y", 8, 0),
-    ("y", 0, 8),
-    ("y", 8, 8),
-    ("u", 0, 0),
-    ("v", 0, 0),
+#: The six 8x8 blocks of a macroblock: (plane, the macroblock's size in
+#: that plane, x offset, y offset).  Block (plane, size, off_x, off_y) of
+#: macroblock (mbx, mby) starts at (mbx * size + off_x, mby * size + off_y).
+BLOCK_LAYOUT: Tuple[Tuple[str, int, int, int], ...] = (
+    ("y", 16, 0, 0),
+    ("y", 16, 8, 0),
+    ("y", 16, 0, 8),
+    ("y", 16, 8, 8),
+    ("u", 8, 0, 0),
+    ("v", 8, 0, 0),
 )
 
 #: Luma interpolation kernel per motion vector unit (fractions per pel).
@@ -75,12 +77,6 @@ Prediction = Dict[str, np.ndarray]
 def cbp_bit(block_index: int) -> int:
     """Coded block pattern bit of a block (Y0 Y1 Y2 Y3 U V, MSB first)."""
     return 1 << (5 - block_index)
-
-
-def block_origin(plane: str, off_x: int, off_y: int, mbx: int, mby: int) -> Tuple[int, int]:
-    """Plane coordinates of the block at (off_x, off_y) of macroblock (mbx, mby)."""
-    base = 16 if plane == "y" else 8
-    return mbx * base + off_x, mby * base + off_y
 
 
 def block_grid(plane: str, mbx: int, mby: int, block_index: int) -> Tuple[int, int]:
@@ -140,8 +136,8 @@ def reconstruct_inter(
 ) -> None:
     """Store prediction plus decoded residual for each block of an inter
     macroblock; a block without residual stores its prediction."""
-    for block, (plane, off_x, off_y) in zip(blocks, BLOCK_LAYOUT):
-        x, y = block_origin(plane, off_x, off_y, mbx, mby)
+    for block, (plane, size, off_x, off_y) in zip(blocks, BLOCK_LAYOUT):
+        x, y = mbx * size + off_x, mby * size + off_y
         pixels = prediction[plane][off_y : off_y + 8, off_x : off_x + 8]
         if block is not None:
             pixels = kernels.add_clip(pixels, dequantise(block))
@@ -346,8 +342,8 @@ class HybridEncoder(VideoEncoder):
         """Transform/quantise the 6 residual blocks; returns (cbp, blocks)."""
         cbp = 0
         blocks: List[Optional[Block]] = []
-        for block_index, (plane, off_x, off_y) in enumerate(BLOCK_LAYOUT):
-            x, y = block_origin(plane, off_x, off_y, mbx, mby)
+        for block_index, (plane, size, off_x, off_y) in enumerate(BLOCK_LAYOUT):
+            x, y = mbx * size + off_x, mby * size + off_y
             pred_block = prediction[plane][off_y : off_y + 8, off_x : off_x + 8]
             residual = self.kernels.sub(source.plane(plane)[y : y + 8, x : x + 8], pred_block)
             block = self._quantise_inter(residual)

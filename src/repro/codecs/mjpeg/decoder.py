@@ -38,10 +38,9 @@ class MjpegDecoder(VideoDecoder):
         dc_pred = dict.fromkeys(("y", "u", "v"), 0)
         for mby in range(stream.height // 16):
             for mbx in range(stream.width // 16):
-                for plane, off_x, off_y in BLOCK_LAYOUT:
-                    base = 16 if plane == "y" else 8
-                    x = mbx * base + off_x
-                    y = mby * base + off_y
+                for plane, size, off_x, off_y in BLOCK_LAYOUT:
+                    x = mbx * size + off_x
+                    y = mby * size + off_y
                     matrix = luma_matrix if plane == "y" else chroma_matrix
                     dc = dc_pred[plane] + decode_dc(reader)
                     dc_pred[plane] = dc

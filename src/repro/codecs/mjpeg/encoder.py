@@ -58,10 +58,9 @@ class MjpegEncoder(VideoEncoder):
         dc_pred = dict.fromkeys(("y", "u", "v"), 0)
         for mby in range(self.config.mb_height):
             for mbx in range(self.config.mb_width):
-                for plane, off_x, off_y in BLOCK_LAYOUT:
-                    base = 16 if plane == "y" else 8
-                    x = mbx * base + off_x
-                    y = mby * base + off_y
+                for plane, size, off_x, off_y in BLOCK_LAYOUT:
+                    x = mbx * size + off_x
+                    y = mby * size + off_y
                     matrix = self.luma_matrix if plane == "y" else self.chroma_matrix
                     # JPEG level shift: samples are centred before the DCT.
                     block = source.plane(plane)[y : y + 8, x : x + 8] - 128

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.codecs.frames import PLANE_NAMES, WorkingFrame
-from repro.codecs.hybrid import BLOCK_LAYOUT, HybridDecoder, block_origin, intra_block
+from repro.codecs.hybrid import BLOCK_LAYOUT, HybridDecoder, intra_block
 from repro.codecs.mpeg2 import tables
 from repro.codecs.mpeg2.coefficients import decode_run_level
 from repro.common.bitstream import BitReader
@@ -37,8 +37,8 @@ class Mpeg2Decoder(HybridDecoder):
         kernels = self.kernels
         if mbx == 0 or not self._dc_chained:
             self._dc_pred = dict.fromkeys(PLANE_NAMES, tables.DC_PREDICTOR_RESET)
-        for plane, off_x, off_y in BLOCK_LAYOUT:
-            x, y = block_origin(plane, off_x, off_y, mbx, mby)
+        for plane, size, off_x, off_y in BLOCK_LAYOUT:
+            x, y = mbx * size + off_x, mby * size + off_y
             dc = self._dc_pred[plane] + read_se(reader)
             self._dc_pred[plane] = dc
             scanned = decode_run_level(reader, 64, start=1)

@@ -15,7 +15,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.codecs.frames import PLANE_NAMES, WorkingFrame
-from repro.codecs.hybrid import BLOCK_LAYOUT, HybridEncoder, block_origin, int_mv, intra_block
+from repro.codecs.hybrid import BLOCK_LAYOUT, HybridEncoder, int_mv, intra_block
 from repro.codecs.mpeg2 import tables
 from repro.codecs.mpeg2.coefficients import encode_run_level
 from repro.common.bitstream import BitWriter
@@ -52,8 +52,8 @@ class Mpeg2Encoder(HybridEncoder):
         qscale = self.config.qscale
         if mbx == 0 or not self._dc_chained:
             self._dc_pred = dict.fromkeys(PLANE_NAMES, tables.DC_PREDICTOR_RESET)
-        for plane, off_x, off_y in BLOCK_LAYOUT:
-            x, y = block_origin(plane, off_x, off_y, mbx, mby)
+        for plane, size, off_x, off_y in BLOCK_LAYOUT:
+            x, y = mbx * size + off_x, mby * size + off_y
             block = source.plane(plane)[y : y + 8, x : x + 8]
             coeffs = kernels.fdct8(block)
             levels = kernels.quant_mpeg(coeffs, MPEG_INTRA_MATRIX, qscale, intra=True)

@@ -29,7 +29,6 @@ from repro.codecs.hybrid import (
     HybridDecoder,
     HybridEncoder,
     block_grid,
-    block_origin,
     cbp_bit,
     int_mv,
     intra_block,
@@ -141,8 +140,8 @@ class AcDcEncoder(HybridEncoder):
         prepared = []
         bits_raw = 0
         bits_pred = 0
-        for block_index, (plane, off_x, off_y) in enumerate(BLOCK_LAYOUT):
-            x, y = block_origin(plane, off_x, off_y, mbx, mby)
+        for block_index, (plane, size, off_x, off_y) in enumerate(BLOCK_LAYOUT):
+            x, y = mbx * size + off_x, mby * size + off_y
             block = source.plane(plane)[y : y + 8, x : x + 8]
             levels = kernels.quant_h263(kernels.fdct8(block), qscale, intra=True)
             bx, by = block_grid(plane, mbx, mby, block_index)
@@ -198,8 +197,8 @@ class AcDcDecoder(HybridDecoder):
         kernels = self.kernels
         use_prediction = bool(reader.read_bit())
         cbp = self.tables.CBP_TABLE.read(reader)
-        for block_index, (plane, off_x, off_y) in enumerate(BLOCK_LAYOUT):
-            x, y = block_origin(plane, off_x, off_y, mbx, mby)
+        for block_index, (plane, size, off_x, off_y) in enumerate(BLOCK_LAYOUT):
+            x, y = mbx * size + off_x, mby * size + off_y
             bx, by = block_grid(plane, mbx, mby, block_index)
             direction, pred_dc, pred_ac = predict(self._acdc[plane], bx, by)
             dc = pred_dc + read_se(reader)
