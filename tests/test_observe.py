@@ -1,5 +1,6 @@
 """Tests for the benchmark-observability subsystem (repro.observe)."""
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -549,6 +550,147 @@ class TestObserveCli:
                              "--keep-last", "3"]) == 0
         assert "dropped 5" in capsys.readouterr().err
         assert len(HistoryStore(tmp_path / "hist").load()) == 3
+
+
+#: One seeded history for the output pins.  Per (bench, axes): the
+#: metric series, oldest first; ``None`` is a record that omits the
+#: series' rate metrics, as a resumed orchestrate run does.
+PIN_HISTORY = (
+    ("performance", {"codec": "h264", "operation": "decode",
+                     "resolution": "720p25"},
+     {"fps": [30.0, 30.2, 29.8, 30.1, 29.9, 30.0, 20.0]}),
+    ("performance", {"codec": "mpeg2", "operation": "decode",
+                     "resolution": "720p25"},
+     {"fps": [26.0, 24.0, 23.0, 22.0, 21.0]}),
+    ("performance", {"codec": "h264", "operation": "encode",
+                     "resolution": "720p25"},
+     {"fps": [10.0, 10.0, 10.0]}),
+    ("ratedistortion", {"codec": "h264", "sequence": "blue_sky"},
+     {"psnr_db": [40.0, 40.01, 39.99, 40.0, 39.7],
+      "bitrate_kbps": [1000.0, 1001.0, 999.0, 1000.0, 1050.0]}),
+    ("robustness", {"codec": "mpeg2"},
+     {"graceful_rate": [1.0, 1.0, 1.0, 0.9],
+      "mean_psnr_delta_db": [-1.0, -1.0, -1.0, -1.5]}),
+    ("serve", {"clients": 24, "seed": 0},
+     {"deadline_miss_rate": [0.0, 0.01, 0.0, 0.3, 0.35, 0.4],
+      "graceful_rate": [1.0, 1.0, 1.0, 1.0, 1.0, 0.97],
+      "unhandled_escapes": [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+      "sessions_per_second": [5.0, 5.1, 4.9, 5.0, 5.0, 5.0]}),
+    ("serve", {"clients": 8, "seed": 3},
+     {"deadline_miss_rate": [0.0, 0.0, 0.01],
+      "graceful_rate": [1.0, 1.0, 1.0]}),
+    # An older record lacks the rates: drift's baseline and burn's
+    # trailing window both skip it.
+    ("orchestrate_run", {"spec": "mini-a"},
+     {"cell_failure_rate": [0.0, None, 0.0, 0.25],
+      "cache_hit_rate": [1.0, None, 0.5, 0.9],
+      "cells_per_second": [10.0, None, 9.0, 10.0]}),
+    # The newest record lacks the rates: drift judges nothing, burn
+    # judges the newest record that carries them.
+    ("orchestrate_run", {"spec": "mini-b"},
+     {"cell_failure_rate": [0.0, 0.5, None],
+      "cache_hit_rate": [1.0, 0.2, None],
+      "cells_per_second": [10.0, 4.0, None]}),
+)
+
+PIN_SPEC = {
+    "schema": "repro.observe.slo/1",
+    "objectives": [
+        {"name": "mpeg2-decode-fps", "bench": "performance", "metric": "fps",
+         "objective": 25.0, "direction": "min", "window": 4,
+         "fast_window": 2, "budget": 0.5, "burn_threshold": 1.5,
+         "axes": {"codec": "mpeg2", "operation": "decode"}},
+        {"name": "orchestrate-failures", "bench": "orchestrate_run",
+         "metric": "cell_failure_rate", "objective": 0.0, "direction": "max",
+         "window": 3, "fast_window": 1},
+        {"name": "serve-miss-short", "bench": "serve",
+         "metric": "deadline_miss_rate", "objective": 0.05,
+         "window": 3, "fast_window": 1, "budget": 0.4},
+    ],
+}
+
+
+def seed_pin_store(root):
+    """Append :data:`PIN_HISTORY` plus one malformed line under ``root``."""
+    store = HistoryStore(root)
+    created = 0.0
+    for bench, axes, series in PIN_HISTORY:
+        length = len(next(iter(series.values())))
+        for index in range(length):
+            metrics = {metric: values[index]
+                       for metric, values in series.items()
+                       if values[index] is not None}
+            if not metrics:
+                metrics = {"cells_skipped": 3.0}
+            created += 1.0
+            store.append(BenchRecord(
+                run_id=f"run-{index:03d}", bench=bench, axes=axes,
+                metrics=metrics, created=created))
+    with open(store.path, "ab") as handle:
+        handle.write(b"not a record\n")
+    return store
+
+
+class TestGateOutputPins:
+    """``gate`` and ``slo`` stdout and exit codes over one seeded store.
+
+    The digests are of stdout with the store path replaced by
+    ``<store>``; any change to a verdict, a message, the row order or
+    the report layout shows here.
+    """
+
+    PINS = [
+        (["gate"], 1,
+         "d326d38a18260f90593f853418303a75ab595cdca80084cf682b4b5a0b20f8c8"),
+        (["gate", "--format", "json"], 1,
+         "f773588dfe4f42f4ce007b8d58fa7785cac65b7305bfd9c397b52728e298652a"),
+        (["gate", "--mad-sigmas", "0"], 1,
+         "9a3d3a9e97178665afd7903fd548bc2efd788b116267d2eeb2931db372c7b900"),
+        (["gate", "--window", "2", "--fps-drop", "0.05", "--psnr-drop",
+          "0.5", "--bitrate-growth", "0.1"], 1,
+         "ea330a05c067d28ea27fafc1268db7c546ad63a7cdae13b7b0c9ffa6547c65f8"),
+        (["gate", "--bench", "serve"], 1,
+         "9372c3f515d1c9568e1c5d5620c30b6798130fa886e15c0192039c72de609e81"),
+        (["slo"], 1,
+         "5970ee77955d1f32b68ad0505b08301c12070033db404e1c1e1bf4e592b828b0"),
+        (["slo", "--format", "json"], 1,
+         "18f1b85ee1edd5f5659d510cb21e79b9a7564019a55af3c818da89bc1ccd796a"),
+        (["slo", "--bench", "performance"], 1,
+         "06f14173e39bfb1499e222c905fdbc7e29ae84e7a1f91103f227dcf41e9e9c9c"),
+        (["slo", "--spec", "SPEC"], 1,
+         "1a277275b7202368c46f5989b252d8fe9c8aa4b2114ffe3ee83e1fd03a72b912"),
+        (["slo", "--spec", "SPEC", "--format", "json"], 1,
+         "a30b4ac9c784af811bcce8481da8cee3bd878c26f9a4f8028fa127db69b9f71b"),
+    ]
+
+    def invoke(self, tmp_path, capsys, argv):
+        store = seed_pin_store(tmp_path / "hist")
+        spec = tmp_path / "slo.json"
+        spec.write_text(json.dumps(PIN_SPEC))
+        argv = [str(spec) if arg == "SPEC" else arg for arg in argv]
+        code = observe_main(argv + ["--store", str(tmp_path / "hist")])
+        out = capsys.readouterr().out.replace(str(store.path), "<store>")
+        return code, out
+
+    @pytest.mark.parametrize("argv, code, digest", PINS,
+                             ids=[" ".join(argv) for argv, _, _ in PINS])
+    def test_output_is_pinned(self, tmp_path, capsys, argv, code, digest):
+        got_code, out = self.invoke(tmp_path, capsys, argv)
+        assert got_code == code
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    def test_store_fires_every_rule(self, tmp_path, capsys):
+        fired = set()
+        for index, argv in enumerate((
+                ["gate", "--format", "json"],
+                ["slo", "--format", "json"],
+                ["slo", "--spec", "SPEC", "--format", "json"])):
+            (tmp_path / str(index)).mkdir()
+            _, out = self.invoke(tmp_path / str(index), capsys, argv)
+            fired |= {finding["rule"]
+                      for finding in json.loads(out)["findings"]}
+        assert fired == {f"OBS20{n}" for n in range(1, 8)} | {
+            "OBS300", "OBS301", "OBS302"}
 
 
 class TestBenchCliIntegration:
