@@ -10,11 +10,13 @@ mechanical answer:
   every harness's native result rows;
 * :mod:`repro.observe.store` — the append-only JSONL
   :class:`HistoryStore` under ``.hdvb-bench-history/`` with atomic
-  appends, tolerant reads, axis-indexed queries and compaction;
-* :mod:`repro.observe.regress` — the regression detector: newest record
-  per axis vs a rolling median baseline with MAD-based robust noise
-  bands, reported through the shared ``repro.analysis`` Finding and
-  reporter machinery;
+  appends, tolerant reads, axis-indexed queries and compaction, plus
+  the ``compare`` and ``trend`` queries over it;
+* :mod:`repro.observe.gate` — one evaluator over the store with two
+  policy kinds: drift (newest record per axis vs a rolling median
+  baseline with MAD-based robust noise bands, OBS201–207) and SLO burn
+  (error budgets and multi-window burn rates, OBS300–302), reported
+  through the shared ``repro.analysis`` Finding and reporter machinery;
 * :mod:`repro.observe.export` — OpenMetrics/Prometheus text exposition
   of the latest records and merged telemetry;
 * :mod:`repro.observe.fsck` — corruption check + quarantine repair
@@ -22,8 +24,8 @@ mechanical answer:
   ``repro.chaos.fsck/1`` findings, crash-proven by the
   :mod:`repro.chaos` harness;
 * :mod:`repro.observe.cli` — the ``hdvb-observe`` front end
-  (``record`` / ``compare`` / ``trend`` / ``gate`` / ``export`` /
-  ``compact`` / ``fsck``).
+  (``record`` / ``compare`` / ``trend`` / ``gate`` / ``slo`` /
+  ``timeline`` / ``tail`` / ``export`` / ``compact`` / ``fsck``).
 
 Feeding the store: every measuring ``hdvb-bench`` subcommand takes
 ``--record`` (append this run) / ``--run-id`` / ``--store``, and
@@ -44,17 +46,15 @@ from repro.observe.record import (
     records_document,
     records_from_document,
 )
-from repro.observe.regress import (
+from repro.observe.store import DEFAULT_STORE_DIR, HistoryStore, MalformedLine
+from repro.observe.store import compare_runs, metric_trend
+from repro.observe.gate import (
     DEFAULT_POLICIES,
-    GateConfig,
     MetricPolicy,
-    compare_runs,
-    detect_regressions,
+    evaluate,
     mad,
     median,
-    metric_trend,
 )
-from repro.observe.store import DEFAULT_STORE_DIR, HistoryStore, MalformedLine
 from repro.observe.export import export_store, render_openmetrics
 from repro.observe.fsck import FSCK_SCHEMA, QUARANTINE_SCHEMA, fsck_store
 
@@ -64,7 +64,6 @@ __all__ = [
     "DEFAULT_POLICIES",
     "DEFAULT_STORE_DIR",
     "DOCUMENT_SCHEMA",
-    "GateConfig",
     "HistoryStore",
     "MalformedLine",
     "MetricPolicy",
@@ -73,7 +72,7 @@ __all__ = [
     "RunInfo",
     "compare_runs",
     "current_git_sha",
-    "detect_regressions",
+    "evaluate",
     "export_store",
     "fsck_store",
     "mad",

@@ -22,19 +22,27 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from typing import List, Optional
+from typing import Any, Callable, List, Optional, Sequence
 
 from repro.analysis.reporters import render_human, render_json
 from repro.bench.report import render_table
 from repro.errors import ObserveError, ReproError
-from repro.observe.record import BenchRecord, records_from_document
-from repro.observe.regress import (
-    GateConfig,
+from repro.observe.gate import (
+    DEFAULT_POLICIES,
+    DEFAULT_SLOS,
+    MetricPolicy,
+    evaluate,
+    load_slo_spec,
+    render_slo_table,
+    slo_document,
+)
+from repro.observe.record import records_from_document
+from repro.observe.store import (
+    DEFAULT_STORE_DIR,
+    HistoryStore,
     compare_runs,
-    detect_regressions,
     metric_trend,
 )
-from repro.observe.store import DEFAULT_STORE_DIR, HistoryStore
 
 
 def _add_store_argument(parser: argparse.ArgumentParser) -> None:
@@ -79,10 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
     gate.add_argument("--bench", default=None, help="restrict to one bench")
     gate.add_argument("--format", choices=("human", "json"), default="human",
                       help="report format (default: human)")
-    gate.add_argument("--window", type=int, default=GateConfig().window,
+    gate.add_argument("--window", type=int, default=MetricPolicy.window,
                       help="baseline records per axis (default: %(default)s)")
     gate.add_argument("--mad-sigmas", type=float,
-                      default=GateConfig().mad_sigmas,
+                      default=MetricPolicy.mad_sigmas,
                       help="noise band width in robust sigmas "
                            "(default: %(default)s)")
     gate.add_argument("--fps-drop", type=float, default=None,
@@ -266,59 +274,63 @@ def _cmd_trend(options: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_gate(options: argparse.Namespace) -> int:
+def _run_policies(options: argparse.Namespace, policies: Sequence[Any],
+                  render: Callable[..., str], dump_trigger: str = "") -> int:
+    """The run path ``gate`` and ``slo`` share: evaluate, report, exit."""
     store = HistoryStore(options.store)
     _require_history(store)
-    config = GateConfig(
-        window=options.window, mad_sigmas=options.mad_sigmas,
-    ).with_thresholds(
-        fps_drop=options.fps_drop,
-        psnr_drop_db=options.psnr_drop,
-        bitrate_growth=options.bitrate_growth,
-    )
-    findings = detect_regressions(store, bench=options.bench, config=config)
-    if findings:
+    statuses, findings, groups = evaluate(store, policies,
+                                          bench=options.bench)
+    if findings and dump_trigger:
         # A failed gate is a post-mortem moment: snapshot whatever the
         # flight recorder holds (no-op while telemetry is off).
         from repro.telemetry import flightrec
 
         flightrec.recorder.dump(
-            "gate.fail",
+            dump_trigger,
             extra={"findings": len(findings),
                    "rules": sorted({f.rule_id for f in findings})})
-    groups = store.history_per_axis(options.bench)
-    stats = {"files_scanned": len(groups)}
-    if options.format == "json":
-        print(render_json(findings, **stats))
-    else:
-        print(render_human(findings, **stats))
-        if store.skipped_lines:
-            print(f"warning: {store.skipped_lines} malformed history "
-                  f"line(s) skipped", file=sys.stderr)
+    sys.stdout.write(render(options.format, statuses, findings, groups))
+    if store.skipped_lines:
+        print(f"warning: {store.skipped_lines} malformed history "
+              f"line(s) skipped", file=sys.stderr)
     return 0 if not findings else 1
+
+
+def _render_gate(fmt: str, statuses: Sequence[Any], findings: Sequence[Any],
+                 groups: int) -> str:
+    render = render_json if fmt == "json" else render_human
+    return render(findings, files_scanned=groups) + "\n"
+
+
+def _render_slo(fmt: str, statuses: Sequence[Any], findings: Sequence[Any],
+                groups: int) -> str:
+    if fmt == "json":
+        return json.dumps(slo_document(statuses, findings), indent=2,
+                          sort_keys=True) + "\n"
+    if not findings:
+        return render_slo_table(statuses)
+    return f"{render_slo_table(statuses)}\n{render_human(findings)}\n"
+
+
+def _cmd_gate(options: argparse.Namespace) -> int:
+    overrides = {"fps": options.fps_drop, "psnr_db": options.psnr_drop,
+                 "bitrate_kbps": options.bitrate_growth}
+    thresholds = {metric: value for metric, value in overrides.items()
+                  if value is not None}
+    policies = [
+        replace(policy, window=options.window, mad_sigmas=options.mad_sigmas,
+                threshold=thresholds.get(policy.metric, policy.threshold))
+        for policy in DEFAULT_POLICIES
+    ]
+    return _run_policies(options, policies, _render_gate,
+                         dump_trigger="gate.fail")
 
 
 def _cmd_slo(options: argparse.Namespace) -> int:
-    from repro.observe.slo import (
-        DEFAULT_SLOS, evaluate_slos, load_slo_spec, render_slo_table,
-        slo_document,
-    )
-
-    store = HistoryStore(options.store)
-    _require_history(store)
     objectives = (load_slo_spec(options.spec) if options.spec
                   else DEFAULT_SLOS)
-    statuses, findings = evaluate_slos(store, objectives,
-                                       bench=options.bench)
-    if options.format == "json":
-        print(json.dumps(slo_document(statuses, findings), indent=2,
-                         sort_keys=True))
-    else:
-        sys.stdout.write(render_slo_table(statuses))
-        if findings:
-            print()
-            print(render_human(findings))
-    return 0 if not findings else 1
+    return _run_policies(options, objectives, _render_slo)
 
 
 def _cmd_timeline(options: argparse.Namespace) -> int:

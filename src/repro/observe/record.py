@@ -12,7 +12,7 @@ A record can optionally attach the run's telemetry
 "what did we measure" and "how did the run behave".
 
 Records are what :mod:`repro.observe.store` persists, what
-:mod:`repro.observe.regress` gates, and what
+:mod:`repro.observe.gate` gates, and what
 :mod:`repro.observe.export` exposes as OpenMetrics.
 """
 

@@ -294,3 +294,46 @@ class HistoryStore:
                                f"{error}") from error
         crash_point("store.compact.post_replace", str(self.path))
         return dropped
+
+
+# ----------------------------------------------------------------------
+# comparison / trend helpers (the ``compare`` and ``trend`` subcommands)
+# ----------------------------------------------------------------------
+
+
+def compare_runs(store: HistoryStore, run_a: str, run_b: str,
+                 bench: Optional[str] = None,
+                 ) -> List[Tuple[str, str, str, float, float]]:
+    """Per-axis metric deltas between two runs.
+
+    Returns ``(bench, axis_key, metric, value_a, value_b)`` rows for
+    every metric present in both runs on the same axis.
+    """
+    def index(run_id: str) -> Dict[Tuple[str, str], BenchRecord]:
+        return {
+            (record.bench, record.axis_key): record
+            for record in store.query(bench=bench, run_id=run_id)
+        }
+
+    first, second = index(run_a), index(run_b)
+    rows: List[Tuple[str, str, str, float, float]] = []
+    for key in sorted(set(first) & set(second)):
+        record_a, record_b = first[key], second[key]
+        for metric in sorted(set(record_a.metrics) & set(record_b.metrics)):
+            rows.append((key[0], key[1], metric,
+                         record_a.metrics[metric], record_b.metrics[metric]))
+    return rows
+
+
+def metric_trend(store: HistoryStore, bench: str, metric: str,
+                 ) -> Dict[str, List[Tuple[str, float]]]:
+    """Per-axis ``(run_id, value)`` series for one metric, oldest first."""
+    series: Dict[str, List[Tuple[str, float]]] = {}
+    for (_, axis_key), history in sorted(store.history_per_axis(bench).items()):
+        points = [
+            (record.run_id, record.metrics[metric])
+            for record in history if metric in record.metrics
+        ]
+        if points:
+            series[axis_key] = points
+    return series

@@ -17,11 +17,11 @@ from repro.errors import (
 from repro.observe.cli import main as observe_main
 from repro.observe.httpd import parse_listen, serve_metrics
 from repro.observe.record import BenchRecord
-from repro.observe.slo import (
+from repro.observe.gate import (
     DEFAULT_SLOS,
     SLO_SCHEMA,
     SloObjective,
-    evaluate_slos,
+    evaluate,
     load_slo_spec,
     render_slo_table,
 )
@@ -319,6 +319,17 @@ class TestSloObjectives:
         with pytest.raises(ObserveError, match="fast_window"):
             SloObjective(name="x", bench="b", metric="m", objective=1.0,
                          window=2, fast_window=3)
+        # spec files come from outside: non-finite bounds and non-integer
+        # windows are rejected, not coerced
+        base = {"name": "x", "bench": "b", "metric": "m", "objective": 1.0}
+        for bad, match in (({"objective": float("nan")}, "objective"),
+                           ({"objective": float("inf")}, "objective"),
+                           ({"burn_threshold": float("nan")},
+                            "burn_threshold"),
+                           ({"window": 2.9}, "window"),
+                           ({"fast_window": True}, "fast_window")):
+            with pytest.raises(ObserveError, match=match):
+                SloObjective.from_dict({**base, **bad})
 
     def test_spec_file_round_trip(self, tmp_path):
         spec = tmp_path / "slo.json"
@@ -349,7 +360,7 @@ class TestSloObjectives:
     def test_clean_history_yields_no_findings(self, tmp_path):
         store = HistoryStore(tmp_path / "hist")
         self._seed(store, [0.0, 0.01, 0.0, 0.015])
-        statuses, findings = evaluate_slos(store)
+        statuses, findings, _ = evaluate(store, DEFAULT_SLOS)
         assert findings == []
         assert all(not status.breached for status in statuses)
         table = render_slo_table(statuses)
@@ -358,7 +369,7 @@ class TestSloObjectives:
     def test_planted_burn_raises_all_three_findings(self, tmp_path):
         store = HistoryStore(tmp_path / "hist")
         self._seed(store, [0.0] * 5 + [0.2, 0.25, 0.3])
-        statuses, findings = evaluate_slos(store)
+        statuses, findings, _ = evaluate(store, DEFAULT_SLOS)
         ids = [finding.rule_id for finding in findings]
         assert ids == ["OBS300", "OBS301", "OBS302"]
         breached = [status for status in statuses if status.breached]

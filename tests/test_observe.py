@@ -4,6 +4,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -11,12 +12,11 @@ from repro.errors import ObserveError
 from repro.observe import (
     DEFAULT_POLICIES,
     BenchRecord,
-    GateConfig,
     HistoryStore,
     RunInfo,
     compare_runs,
     current_git_sha,
-    detect_regressions,
+    evaluate,
     mad,
     median,
     metric_trend,
@@ -259,11 +259,16 @@ def fill_axis(store, values, bench="performance", metric="fps", **axes):
             metrics={metric: value}, created=float(i)))
 
 
+def drift(store, bench=None):
+    """The findings of the default drift policies."""
+    return evaluate(store, DEFAULT_POLICIES, bench=bench)[1]
+
+
 class TestRegressionDetection:
     def test_planted_throughput_drop_flagged(self, tmp_path):
         store = HistoryStore(tmp_path / "hist")
         fill_axis(store, [100.0, 101.0, 99.5, 100.5, 100.2, 99.8, 80.0])
-        findings = detect_regressions(store)
+        findings = drift(store)
         assert [f.rule_id for f in findings] == ["OBS201"]
         assert "fps dropped" in findings[0].message
         assert "run-006" in findings[0].message
@@ -272,7 +277,7 @@ class TestRegressionDetection:
         store = HistoryStore(tmp_path / "hist")
         fill_axis(store, [40.00, 40.01, 39.99, 40.02, 40.00, 39.80],
                   bench="ratedistortion", metric="psnr_db", codec="h264")
-        findings = detect_regressions(store)
+        findings = drift(store)
         assert [f.rule_id for f in findings] == ["OBS202"]
 
     def test_mad_level_noise_not_flagged(self, tmp_path):
@@ -280,59 +285,64 @@ class TestRegressionDetection:
         # jittery axis: swings of ~8% are this axis's normal noise, and the
         # newest value sits inside the noise band
         fill_axis(store, [100.0, 92.0, 108.0, 95.0, 105.0, 93.0, 91.5])
-        assert detect_regressions(store) == []
+        assert drift(store) == []
         # quiet axis: the same 0.05 dB move stays under the 0.1 dB policy
         fill_axis(store, [40.00, 40.01, 39.99, 40.02, 40.00, 39.95],
                   bench="ratedistortion", metric="psnr_db", codec="h264")
-        assert detect_regressions(store, bench="ratedistortion") == []
+        assert drift(store, bench="ratedistortion") == []
 
     def test_bitrate_growth_threshold(self, tmp_path):
         store = HistoryStore(tmp_path / "hist")
         fill_axis(store, [1000.0, 1001.0, 999.0, 1000.5, 1000.0, 1030.0],
                   bench="ratedistortion", metric="bitrate_kbps")
-        findings = detect_regressions(store)
+        findings = drift(store)
         assert [f.rule_id for f in findings] == ["OBS203"]
         assert "grew" in findings[0].message
         # 1% growth stays under the 2% tolerance
         store2 = HistoryStore(tmp_path / "hist2")
         fill_axis(store2, [1000.0, 1001.0, 999.0, 1000.5, 1000.0, 1010.0],
                   bench="ratedistortion", metric="bitrate_kbps")
-        assert detect_regressions(store2) == []
+        assert drift(store2) == []
 
     def test_single_record_axes_have_no_baseline(self, tmp_path):
         store = HistoryStore(tmp_path / "hist")
         store.append(record(run="only", fps=10.0))
-        assert detect_regressions(store) == []
+        assert drift(store) == []
 
     def test_detection_is_deterministic(self, tmp_path):
         store = HistoryStore(tmp_path / "hist")
         fill_axis(store, [100.0, 101.0, 99.5, 100.5, 100.2, 99.8, 80.0])
         fill_axis(store, [40.0, 40.0, 40.0, 40.0, 40.0, 39.5],
                   bench="ratedistortion", metric="psnr_db", codec="h264")
-        first = detect_regressions(store)
-        second = detect_regressions(store)
+        first = drift(store)
+        second = drift(store)
         assert first == second
 
-    def test_with_thresholds_override(self, tmp_path):
+    def test_threshold_override(self, tmp_path):
         store = HistoryStore(tmp_path / "hist")
         fill_axis(store, [100.0, 100.0, 100.0, 100.0, 100.0, 95.0])
-        assert detect_regressions(store) == []
-        tight = GateConfig(mad_sigmas=0.0).with_thresholds(fps_drop=0.02)
-        findings = detect_regressions(store, config=tight)
+        assert drift(store) == []
+        tight = [replace(policy, mad_sigmas=0.0, threshold=0.02)
+                 if policy.metric == "fps" else policy
+                 for policy in DEFAULT_POLICIES]
+        findings = evaluate(store, tight)[1]
         assert [f.rule_id for f in findings] == ["OBS201"]
 
     def test_robustness_rate_policy(self, tmp_path):
         store = HistoryStore(tmp_path / "hist")
         fill_axis(store, [1.0, 1.0, 1.0, 1.0, 0.9],
                   bench="robustness", metric="graceful_rate", codec="mpeg2")
-        findings = detect_regressions(store)
+        findings = drift(store)
         assert [f.rule_id for f in findings] == ["OBS204"]
 
-    def test_gate_config_validation(self):
-        with pytest.raises(ObserveError):
-            GateConfig(window=0)
-        with pytest.raises(ObserveError):
-            GateConfig(mad_sigmas=-1.0)
+    def test_policy_validation(self):
+        for bad in (dict(window=0), dict(window=2.9), dict(window=True),
+                    dict(mad_sigmas=-1.0), dict(mad_sigmas=float("nan")),
+                    dict(mad_sigmas=float("inf")), dict(threshold=-0.1),
+                    dict(threshold=float("nan")),
+                    dict(threshold=float("inf"))):
+            with pytest.raises(ObserveError):
+                replace(DEFAULT_POLICIES[0], **bad)
 
     def test_median_and_mad(self):
         assert median([3.0, 1.0, 2.0]) == 2.0
@@ -496,6 +506,22 @@ class TestObserveCli:
         capsys.readouterr()
         assert self.gate(tmp_path / "hist", "--fps-drop", "0.02",
                          "--mad-sigmas", "0") == 1
+        capsys.readouterr()
+        # a NaN tolerance is a usage error, not a verdict
+        assert self.gate(tmp_path / "hist", "--fps-drop", "nan") == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_malformed_lines_warn_on_gate_and_slo(self, tmp_path, capsys):
+        store = HistoryStore(tmp_path / "hist")
+        fill_axis(store, [100.0, 100.0])
+        with open(store.path, "ab") as handle:
+            handle.write(b"not a record\n")
+        for command in ("gate", "slo"):
+            for fmt in ("human", "json"):
+                assert observe_main([command, "--store", str(tmp_path / "hist"),
+                                     "--format", fmt]) == 0
+                assert capsys.readouterr().err == (
+                    "warning: 1 malformed history line(s) skipped\n")
 
     def test_record_ingests_documents(self, tmp_path, capsys):
         document = records_document([record(run="rX")])

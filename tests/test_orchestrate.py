@@ -9,12 +9,13 @@ the cells that already completed.
 import json
 import multiprocessing
 import os
+from dataclasses import replace
 
 import pytest
 
 from repro.errors import OrchestrateError
 from repro.observe.record import RunInfo
-from repro.observe.regress import GateConfig, detect_regressions
+from repro.observe.gate import DEFAULT_POLICIES, evaluate
 from repro.observe.store import HistoryStore
 from repro.orchestrate.artifacts import (
     ArtifactCache,
@@ -487,6 +488,12 @@ def synthetic_result(workers, seconds, ok=True, hit=False, repeat=0):
                       error="" if ok else "OrchestrateError: synthetic")
 
 
+def gate_without_noise_band(store):
+    """The default drift gate's findings with ``mad_sigmas`` 0."""
+    policies = [replace(policy, mad_sigmas=0) for policy in DEFAULT_POLICIES]
+    return evaluate(store, policies)[1]
+
+
 class TestReport:
     def spec(self):
         return parse_spec({
@@ -552,7 +559,7 @@ class TestReport:
              synthetic_result(2, 0.1, ok=False)]))
         store.append_many(summary_records(good, info_a))
         store.append_many(summary_records(bad, info_b))
-        findings = detect_regressions(store, config=GateConfig(mad_sigmas=0))
+        findings = gate_without_noise_band(store)
         assert any(f.rule_id == "OBS207" and "cell_failure_rate" in f.message
                    for f in findings)
 
@@ -562,7 +569,7 @@ class TestReport:
             [synthetic_result(1, 1.0)]))
         store.append_many(summary_records(good, RunInfo.capture(run_id="r1")))
         store.append_many(summary_records(good, RunInfo.capture(run_id="r2")))
-        findings = detect_regressions(store, config=GateConfig(mad_sigmas=0))
+        findings = gate_without_noise_band(store)
         assert [f for f in findings if f.rule_id == "OBS207"] == []
 
     def test_resumed_run_omits_unmeasured_rates(self, tmp_path):
@@ -582,7 +589,7 @@ class TestReport:
             [synthetic_result(1, 1.0)]))
         store.append_many(summary_records(good, RunInfo.capture(run_id="r1")))
         store.append_many(records)
-        findings = detect_regressions(store, config=GateConfig(mad_sigmas=0))
+        findings = gate_without_noise_band(store)
         assert [f for f in findings if f.rule_id == "OBS207"] == []
 
     def test_cell_record_is_deterministic(self):
