@@ -6,6 +6,7 @@ frames per second against the 25 fps real-time line (Section VI).
 
 from __future__ import annotations
 
+import statistics
 import time
 from dataclasses import dataclass
 from typing import Callable, List
@@ -37,14 +38,6 @@ class Timing:
         return self.fps >= REAL_TIME_FPS
 
 
-def _median(values: List[float]) -> float:
-    ordered = sorted(values)
-    middle = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[middle]
-    return 0.5 * (ordered[middle - 1] + ordered[middle])
-
-
 def time_callable(fn: Callable[[], object], frame_count: int,
                   runs: int = 3, warmup: int = 1) -> Timing:
     """Time ``fn`` over ``runs`` runs (after ``warmup`` unmeasured runs)."""
@@ -57,4 +50,5 @@ def time_callable(fn: Callable[[], object], frame_count: int,
         start = time.perf_counter()
         fn()
         durations.append(time.perf_counter() - start)
-    return Timing(seconds=_median(durations), runs=durations, frame_count=frame_count)
+    return Timing(seconds=statistics.median(durations), runs=durations,
+                  frame_count=frame_count)
