@@ -185,7 +185,7 @@ class MetricPolicy:
         )]
 
 
-#: The default gate: the three tolerances the issue names, plus the
+#: The default gate: the three headline tolerances, plus the
 #: resilience-rate and concealment-quality analogues so the robustness
 #: and streaming benches gate through the same machinery.
 DEFAULT_POLICIES: Tuple[MetricPolicy, ...] = (
