@@ -7,17 +7,15 @@ reference, so encoder and decoder reconstructions never drift.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.codecs.base import EncodedPicture, EncodedVideo, VideoDecoder
 from repro.codecs.frames import WorkingFrame
 from repro.codecs.h264 import common, intra
-from repro.codecs.h264.common import blocks_to_square
 from repro.codecs.h264.cavlc import CavlcCoder
-from repro.codecs.h264.deblock import DeblockFilter, DeblockMeta
-from repro.codecs.h264.motion import PARTITION_SHAPES, MvGrid4
+from repro.codecs.h264.motion import PARTITION_SHAPES
 from repro.common.bitstream import BitReader
 from repro.common.expgolomb import read_se, read_ue
 from repro.common.gop import FrameType
@@ -56,10 +54,8 @@ class H264Decoder(VideoDecoder):
         frame_type = picture.frame_type
         reader = self._open_reader(picture.payload)
         read_frame_type(reader, expected=frame_type)
-        self._qp = check_header("qp", reader.read_bits(6), 0, 51)
-        self._search_range = check_header(
-            "search_range", reader.read_bits(8), 1, 255
-        )
+        qp = check_header("qp", reader.read_bits(6), 0, 51)
+        search_range = check_header("search_range", reader.read_bits(8), 1, 255)
         deblock_on = bool(reader.read_bit())
         ref_frames = reader.read_bits(4)
         l0_count = reader.read_bits(4)
@@ -81,22 +77,11 @@ class H264Decoder(VideoDecoder):
             l0 = [references[past[-1]]]
             l1 = references[future[0]]
 
-        mb_width = stream.width // 16
-        mb_height = stream.height // 16
-        recon = WorkingFrame.blank(stream.width, stream.height)
-        self._recon = recon
-        self._meta = DeblockMeta(mb_width, mb_height)
-        self._grid_l0 = MvGrid4(mb_width, mb_height)
-        self._grid_l1 = MvGrid4(mb_width, mb_height)
-        self._tc_luma = common.TcGrid(mb_width * 4, mb_height * 4)
-        self._tc_chroma = {
-            "u": common.TcGrid(mb_width * 2, mb_height * 2),
-            "v": common.TcGrid(mb_width * 2, mb_height * 2),
-        }
-        self._intra4_modes: Dict[Tuple[int, int], int] = {}
-
-        for mby in range(mb_height):
-            for mbx in range(mb_width):
+        self._layer = layer = common.MacroblockLayer(
+            self.kernels, stream.width, stream.height, qp, search_range
+        )
+        for mby in range(stream.height // 16):
+            for mbx in range(stream.width // 16):
                 if frame_type is FrameType.I:
                     mode = read_ue(reader)
                     if mode == common.I_4X4:
@@ -110,55 +95,46 @@ class H264Decoder(VideoDecoder):
                 else:
                     self._decode_b_mb(reader, l0[0], l1, mbx, mby)
         if deblock_on:
-            DeblockFilter(self.kernels, self._qp).apply(recon, self._meta)
-        return recon
+            layer.deblock()
+        return layer.recon
 
     # ------------------------------------------------------------------
     # intra macroblocks
     # ------------------------------------------------------------------
 
     def _decode_i4_mb(self, reader: BitReader, mbx: int, mby: int) -> None:
-        kernels = self.kernels
-        qp = self._qp
+        layer = self._layer
         x0, y0 = 16 * mbx, 16 * mby
-        for block_index, (off_x, off_y) in enumerate(common.LUMA_OFFSETS):
+        for off_x, off_y in common.LUMA_OFFSETS:
             x, y = x0 + off_x, y0 + off_y
             bx, by = x // 4, y // 4
-            mpm = common.intra4_mpm(self._intra4_modes, bx, by)
+            mpm = common.intra4_mpm(layer.intra4_modes, bx, by)
             if reader.read_bit():
                 mode_index = mpm
             else:
                 remaining = reader.read_bits(2)
                 mode_index = remaining + (1 if remaining >= mpm else 0)
-            self._intra4_modes[(bx, by)] = mode_index
+            layer.intra4_modes[(bx, by)] = mode_index
             prediction = intra.predict_luma4(
-                self._recon.y, x, y, intra.LUMA4_MODES[mode_index]
+                layer.recon.y, x, y, intra.LUMA4_MODES[mode_index]
             )
             scanned, total_coeff = self.cavlc.decode_block(
-                reader, 16, self._tc_luma.nc(bx, by)
+                reader, 16, layer.tc_luma.nc(bx, by)
             )
-            self._tc_luma.set(bx, by, total_coeff)
-            pixels = prediction
-            if total_coeff:
-                levels = unscan4(scanned)
-                rebuilt = kernels.inv_transform4(kernels.dequant_h264_4x4(levels, qp))
-                pixels = kernels.add_clip(prediction, rebuilt)
-            self._recon.store_block("y", x, y, pixels)
-        self._meta.mark_intra_mb(mbx, mby)
+            layer.tc_luma.set(bx, by, total_coeff)
+            layer.reconstruct_luma4(x, y, prediction, unscan4(scanned) if total_coeff else None)
+        layer.meta.mark_intra_mb(mbx, mby)
         self._decode_intra_chroma(reader, mbx, mby)
 
     def _decode_i16_mb(self, reader: BitReader, mbx: int, mby: int) -> None:
-        kernels = self.kernels
-        qp = self._qp
+        layer = self._layer
         x0, y0 = 16 * mbx, 16 * mby
         mode = intra.BLOCK_MODES[read_ue(reader)]
-        prediction = intra.predict_block(self._recon.y, x0, y0, 16, mode)
+        prediction = intra.predict_block(layer.recon.y, x0, y0, 16, mode)
         has_ac = bool(reader.read_bit())
 
-        nc_dc = self._tc_luma.nc(4 * mbx, 4 * mby)
+        nc_dc = layer.tc_luma.nc(4 * mbx, 4 * mby)
         dc_scanned, _ = self.cavlc.decode_block(reader, 16, nc_dc)
-        dc_levels = unscan4(dc_scanned)
-        dc_rebuilt = kernels.dequant_h264_dc4(dc_levels, qp)
 
         ac_levels = []
         for off_x, off_y in common.LUMA_OFFSETS:
@@ -166,26 +142,21 @@ class H264Decoder(VideoDecoder):
             total_coeff = 0
             if has_ac:
                 scanned, total_coeff = self.cavlc.decode_block(
-                    reader, 15, self._tc_luma.nc(bx, by)
+                    reader, 15, layer.tc_luma.nc(bx, by)
                 )
                 ac_levels.append(unscan4([0] + scanned))
-            self._tc_luma.set(bx, by, total_coeff)
-        if has_ac:
-            coeffs = kernels.dequant_h264_4x4(np.stack(ac_levels), qp)
-        else:
-            coeffs = np.zeros((16, 4, 4), dtype=np.int64)
-        coeffs[:, 0, 0] = dc_rebuilt.ravel()
-        residual = blocks_to_square(kernels.inv_transform4(coeffs))
-        self._recon.store_block("y", x0, y0, kernels.add_clip(prediction, residual))
-        self._meta.mark_intra_mb(mbx, mby)
+            layer.tc_luma.set(bx, by, total_coeff)
+        layer.reconstruct_i16(mbx, mby, prediction, unscan4(dc_scanned),
+                              ac_levels if has_ac else None)
+        layer.meta.mark_intra_mb(mbx, mby)
         self._decode_intra_chroma(reader, mbx, mby)
 
     def _decode_intra_chroma(self, reader: BitReader, mbx: int, mby: int) -> None:
         x, y = 8 * mbx, 8 * mby
         mode = intra.BLOCK_MODES[read_ue(reader)]
         prediction = {
-            "u": intra.predict_block(self._recon.u, x, y, 8, mode),
-            "v": intra.predict_block(self._recon.v, x, y, 8, mode),
+            "u": intra.predict_block(self._layer.recon.u, x, y, 8, mode),
+            "v": intra.predict_block(self._layer.recon.v, x, y, 8, mode),
         }
         self._decode_chroma_residual(reader, prediction, mbx, mby)
 
@@ -196,8 +167,7 @@ class H264Decoder(VideoDecoder):
     def _decode_chroma_residual(self, reader: BitReader,
                                 prediction: Dict[str, np.ndarray],
                                 mbx: int, mby: int) -> None:
-        kernels = self.kernels
-        qp = self._qp
+        layer = self._layer
         x0, y0 = 8 * mbx, 8 * mby
         cbp = read_ue(reader)
         if cbp > 2:
@@ -209,7 +179,7 @@ class H264Decoder(VideoDecoder):
                 dc_levels[plane] = unscan(scanned, ZIGZAG_2X2, 2)
         ac_levels: Dict[str, List[np.ndarray]] = {"u": [], "v": []}
         for plane in ("u", "v"):
-            grid = self._tc_chroma[plane]
+            grid = layer.tc_chroma[plane]
             for off_x, off_y in common.CHROMA_OFFSETS:
                 bx, by = (x0 + off_x) // 4, (y0 + off_y) // 4
                 total_coeff = 0
@@ -219,100 +189,37 @@ class H264Decoder(VideoDecoder):
                     )
                     ac_levels[plane].append(unscan4([0] + scanned))
                 grid.set(bx, by, total_coeff)
-
-        for plane in ("u", "v"):
-            pixels = prediction[plane]
-            if cbp:
-                if cbp == 2:
-                    coeffs = kernels.dequant_h264_4x4(np.stack(ac_levels[plane]), qp)
-                else:
-                    coeffs = np.zeros((4, 4, 4), dtype=np.int64)
-                coeffs[:, 0, 0] = kernels.dequant_h264_dc2(dc_levels[plane], qp).ravel()
-                residual = blocks_to_square(kernels.inv_transform4(coeffs))
-                pixels = kernels.add_clip(prediction[plane], residual)
-            self._recon.store_block(plane, x0, y0, pixels)
+        layer.reconstruct_chroma(mbx, mby, prediction, cbp, dc_levels, ac_levels)
 
     # ------------------------------------------------------------------
     # inter machinery
     # ------------------------------------------------------------------
 
-    def _partition_prediction(
-        self,
-        mbx: int,
-        mby: int,
-        assignments: List[Tuple[WorkingFrame, Tuple[int, int, int, int], MotionVector]],
-    ) -> Dict[str, np.ndarray]:
-        """Assemble an MB prediction from per-partition (reference, rect, mv) triples."""
-        kernels = self.kernels
-        search_range = self._search_range
-        pred_y = np.zeros((16, 16), dtype=np.int64)
-        pred_c = {
-            "u": np.zeros((8, 8), dtype=np.int64),
-            "v": np.zeros((8, 8), dtype=np.int64),
-        }
-        for reference, (off_x, off_y, width, height), mv in assignments:
-            check_motion_vector(mv, search_range, 4)
-            luma = reference.padded("y", search_range)
-            px, py = luma.offset(16 * mbx + off_x, 16 * mby + off_y)
-            pred_y[off_y : off_y + height, off_x : off_x + width] = kernels.mc_qpel_h264(
-                luma.plane, px, py, width, height, mv.x, mv.y
-            )
-            for plane in ("u", "v"):
-                padded = reference.padded(plane, search_range)
-                cx, cy = padded.offset(8 * mbx + off_x // 2, 8 * mby + off_y // 2)
-                pred_c[plane][
-                    off_y // 2 : (off_y + height) // 2,
-                    off_x // 2 : (off_x + width) // 2,
-                ] = kernels.mc_chroma_bilinear8(
-                    padded.plane, cx, cy, width // 2, height // 2, mv.x, mv.y
-                )
-        return {"y": pred_y, "u": pred_c["u"], "v": pred_c["v"]}
+    def _prediction(self, mbx: int, mby: int,
+                    assignments: List[common.PartitionAssignment]) -> Dict[str, np.ndarray]:
+        """The macroblock prediction, once every parsed vector lies in the search window."""
+        for _, _, mv in assignments:
+            check_motion_vector(mv, self._layer.search_range, 4)
+        return self._layer.prediction(mbx, mby, assignments)
 
     def _decode_luma_residual(self, reader: BitReader, prediction: np.ndarray,
                               mbx: int, mby: int) -> None:
-        """Parse the 16 luma blocks, then rebuild the coded ones as one stack.
-
-        ``mark_inter`` has cleared the macroblock's nonzero cells already.
-        """
-        kernels = self.kernels
+        """Parse the 16 luma blocks, then rebuild the coded ones as one stack."""
+        layer = self._layer
         x0, y0 = 16 * mbx, 16 * mby
         cbp = reader.read_bits(4)
-        coded: List[int] = []
-        levels: List[np.ndarray] = []
+        coded: Dict[int, np.ndarray] = {}
         for block_index, (off_x, off_y) in enumerate(common.LUMA_OFFSETS):
             bx, by = (x0 + off_x) // 4, (y0 + off_y) // 4
             total_coeff = 0
             if cbp & (1 << common.luma_quadrant(block_index)):
                 scanned, total_coeff = self.cavlc.decode_block(
-                    reader, 16, self._tc_luma.nc(bx, by)
+                    reader, 16, layer.tc_luma.nc(bx, by)
                 )
                 if total_coeff:
-                    coded.append(block_index)
-                    levels.append(unscan4(scanned))
-                    self._meta.set_nonzero(bx, by, True)
-            self._tc_luma.set(bx, by, total_coeff)
-        pixels = prediction
-        if coded:
-            residual = np.zeros((16, 4, 4), dtype=np.int64)
-            residual[coded] = kernels.inv_transform4(
-                kernels.dequant_h264_4x4(np.stack(levels), self._qp)
-            )
-            pixels = kernels.add_clip(prediction, blocks_to_square(residual))
-        self._recon.store_block("y", x0, y0, pixels)
-
-    def _store_prediction(self, prediction: Dict[str, np.ndarray],
-                          mbx: int, mby: int) -> None:
-        """Reconstruct a macroblock with no residual: its prediction, as is."""
-        x0, y0 = 16 * mbx, 16 * mby
-        for off_x, off_y in common.LUMA_OFFSETS:
-            self._tc_luma.set((x0 + off_x) // 4, (y0 + off_y) // 4, 0)
-        self._recon.store_block("y", x0, y0, prediction["y"])
-        cx0, cy0 = 8 * mbx, 8 * mby
-        for plane in ("u", "v"):
-            grid = self._tc_chroma[plane]
-            for off_x, off_y in common.CHROMA_OFFSETS:
-                grid.set((cx0 + off_x) // 4, (cy0 + off_y) // 4, 0)
-            self._recon.store_block(plane, cx0, cy0, prediction[plane])
+                    coded[block_index] = unscan4(scanned)
+            layer.tc_luma.set(bx, by, total_coeff)
+        layer.reconstruct_luma(mbx, mby, prediction, coded)
 
     # ------------------------------------------------------------------
     # P macroblocks
@@ -320,15 +227,16 @@ class H264Decoder(VideoDecoder):
 
     def _decode_p_mb(self, reader: BitReader, l0: List[WorkingFrame],
                      mbx: int, mby: int) -> None:
+        layer = self._layer
         mode = read_ue(reader)
-        grid = self._grid_l0
+        grid = layer.grid_l0
         bx, by = 4 * mbx, 4 * mby
         if mode == common.P_SKIP:
             mv = grid.predictor(bx, by, 4)
             grid.set_rect(bx, by, 4, 4, mv, 0)
-            self._meta.mark_inter(bx, by, 4, 4, mv, 0)
-            prediction = self._partition_prediction(mbx, mby, [(l0[0], (0, 0, 16, 16), mv)])
-            self._store_prediction(prediction, mbx, mby)
+            layer.meta.mark_inter(bx, by, 4, 4, mv, 0)
+            prediction = self._prediction(mbx, mby, [(l0[0], (0, 0, 16, 16), mv)])
+            layer.store_prediction(mbx, mby, prediction)
             return
         if mode == common.P_I4:
             self._decode_i4_mb(reader, mbx, mby)
@@ -349,9 +257,9 @@ class H264Decoder(VideoDecoder):
             predictor = grid.predictor(pbx, pby, width // 4)
             mv = MotionVector(predictor.x + read_se(reader), predictor.y + read_se(reader))
             grid.set_rect(pbx, pby, width // 4, height // 4, mv, ref_index)
-            self._meta.mark_inter(pbx, pby, width // 4, height // 4, mv, ref_index)
+            layer.meta.mark_inter(pbx, pby, width // 4, height // 4, mv, ref_index)
             assignments.append((l0[ref_index], rect, mv))
-        prediction = self._partition_prediction(mbx, mby, assignments)
+        prediction = self._prediction(mbx, mby, assignments)
         self._decode_luma_residual(reader, prediction["y"], mbx, mby)
         self._decode_chroma_residual(reader, prediction, mbx, mby)
 
@@ -361,15 +269,15 @@ class H264Decoder(VideoDecoder):
 
     def _decode_b_mb(self, reader: BitReader, forward: WorkingFrame,
                      backward: WorkingFrame, mbx: int, mby: int) -> None:
+        layer = self._layer
         mode = read_ue(reader)
         bx, by = 4 * mbx, 4 * mby
         rect = (0, 0, 16, 16)
         if mode == common.B_SKIP:
-            mv = self._grid_l0.predictor(bx, by, 4)
-            self._grid_l0.set_rect(bx, by, 4, 4, mv, 0)
-            self._meta.mark_inter(bx, by, 4, 4, mv, 0)
-            prediction = self._partition_prediction(mbx, mby, [(forward, rect, mv)])
-            self._store_prediction(prediction, mbx, mby)
+            mv = layer.grid_l0.predictor(bx, by, 4)
+            layer.grid_l0.set_rect(bx, by, 4, 4, mv, 0)
+            layer.meta.mark_inter(bx, by, 4, 4, mv, 0)
+            layer.store_prediction(mbx, mby, self._prediction(mbx, mby, [(forward, rect, mv)]))
             return
         if mode == common.B_I4:
             self._decode_i4_mb(reader, mbx, mby)
@@ -378,34 +286,31 @@ class H264Decoder(VideoDecoder):
             self._decode_i16_mb(reader, mbx, mby)
             return
 
-        kernels = self.kernels
         mv_fwd = mv_bwd = None
         if mode in (common.B_BI, common.B_FWD):
-            predictor = self._grid_l0.predictor(bx, by, 4)
+            predictor = layer.grid_l0.predictor(bx, by, 4)
             mv_fwd = MotionVector(
                 predictor.x + read_se(reader), predictor.y + read_se(reader)
             )
-            self._grid_l0.set_rect(bx, by, 4, 4, mv_fwd, 0)
+            layer.grid_l0.set_rect(bx, by, 4, 4, mv_fwd, 0)
         if mode in (common.B_BI, common.B_BWD):
-            predictor = self._grid_l1.predictor(bx, by, 4)
+            predictor = layer.grid_l1.predictor(bx, by, 4)
             mv_bwd = MotionVector(
                 predictor.x + read_se(reader), predictor.y + read_se(reader)
             )
-            self._grid_l1.set_rect(bx, by, 4, 4, mv_bwd, 0)
+            layer.grid_l1.set_rect(bx, by, 4, 4, mv_bwd, 0)
         if mode == common.B_FWD:
-            prediction = self._partition_prediction(mbx, mby, [(forward, rect, mv_fwd)])
-            self._meta.mark_inter(bx, by, 4, 4, mv_fwd, 0)
+            prediction = self._prediction(mbx, mby, [(forward, rect, mv_fwd)])
+            layer.meta.mark_inter(bx, by, 4, 4, mv_fwd, 0)
         elif mode == common.B_BWD:
-            prediction = self._partition_prediction(mbx, mby, [(backward, rect, mv_bwd)])
-            self._meta.mark_inter(bx, by, 4, 4, mv_bwd, 1)
+            prediction = self._prediction(mbx, mby, [(backward, rect, mv_bwd)])
+            layer.meta.mark_inter(bx, by, 4, 4, mv_bwd, 1)
         elif mode == common.B_BI:
-            pred_fwd = self._partition_prediction(mbx, mby, [(forward, rect, mv_fwd)])
-            pred_bwd = self._partition_prediction(mbx, mby, [(backward, rect, mv_bwd)])
-            prediction = {
-                name: kernels.average(pred_fwd[name], pred_bwd[name])
-                for name in ("y", "u", "v")
-            }
-            self._meta.mark_inter(bx, by, 4, 4, mv_fwd, 0)
+            prediction = layer.average(
+                self._prediction(mbx, mby, [(forward, rect, mv_fwd)]),
+                self._prediction(mbx, mby, [(backward, rect, mv_bwd)]),
+            )
+            layer.meta.mark_inter(bx, by, 4, 4, mv_fwd, 0)
         else:
             raise BitstreamError(f"invalid B macroblock mode {mode}")
         self._decode_luma_residual(reader, prediction["y"], mbx, mby)

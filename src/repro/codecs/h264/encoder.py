@@ -21,7 +21,6 @@ from repro.codecs.frames import WorkingFrame
 from repro.codecs.h264 import common, intra
 from repro.codecs.h264.cavlc import CavlcCoder
 from repro.codecs.h264.config import H264Config
-from repro.codecs.h264.deblock import DeblockFilter, DeblockMeta
 from repro.codecs.h264.motion import PARTITION_SHAPES, MvGrid4
 from repro.common.bitstream import BitWriter
 from repro.common.expgolomb import se_bit_length, ue_bit_length, write_se, write_ue
@@ -84,7 +83,7 @@ class H264Encoder(VideoEncoder):
             self.stats.frame_bits.append(8 * len(payload))
             if entry.frame_type.is_anchor:
                 if config.deblock:
-                    DeblockFilter(self.kernels, config.qp).apply(recon, self._meta)
+                    self._layer.deblock()
                 references[entry.display_index] = recon
                 for key in sorted(references)[: -(config.ref_frames + 2)]:
                     del references[key]
@@ -132,18 +131,9 @@ class H264Encoder(VideoEncoder):
         # GOP-parallel chunk boundary) builds the identical list.
         writer.write_bits(len(l0), 4)
 
-        recon = WorkingFrame.blank(config.width, config.height)
-        self._recon = recon
-        self._meta = DeblockMeta(config.mb_width, config.mb_height)
-        self._grid_l0 = MvGrid4(config.mb_width, config.mb_height)
-        self._grid_l1 = MvGrid4(config.mb_width, config.mb_height)
-        self._tc_luma = TcGridAlias(config.mb_width * 4, config.mb_height * 4)
-        self._tc_chroma = {
-            "u": TcGridAlias(config.mb_width * 2, config.mb_height * 2),
-            "v": TcGridAlias(config.mb_width * 2, config.mb_height * 2),
-        }
-        self._intra4_modes: Dict[Tuple[int, int], int] = {}
-
+        self._layer = layer = common.MacroblockLayer(
+            self.kernels, config.width, config.height, config.qp, config.search_range
+        )
         for mby in range(config.mb_height):
             for mbx in range(config.mb_width):
                 if entry.frame_type is FrameType.I:
@@ -153,7 +143,7 @@ class H264Encoder(VideoEncoder):
                 else:
                     self._encode_b_mb(writer, source, l0[0], l1, mbx, mby)
         writer.align()
-        return writer.to_bytes(), recon
+        return writer.to_bytes(), layer.recon
 
     # ------------------------------------------------------------------
     # intra coding
@@ -176,7 +166,7 @@ class H264Encoder(VideoEncoder):
         current = source.y[y : y + 16, x : x + 16]
         best_mode, best_cost = "DC", None
         for mode in intra.available_block_modes(y > 0, x > 0):
-            prediction = intra.predict_block(self._recon.y, x, y, 16, mode)
+            prediction = intra.predict_block(self._layer.recon.y, x, y, 16, mode)
             cost = self.kernels.sad(current, prediction)
             if best_cost is None or cost < best_cost:
                 best_mode, best_cost = mode, cost
@@ -208,16 +198,17 @@ class H264Encoder(VideoEncoder):
                     mbx: int, mby: int) -> None:
         """Code an I4x4 macroblock: 16 predicted/transformed luma blocks."""
         kernels = self.kernels
+        layer = self._layer
         qp = self.config.qp
         x0, y0 = 16 * mbx, 16 * mby
-        for block_index, (off_x, off_y) in enumerate(common.LUMA_OFFSETS):
+        for off_x, off_y in common.LUMA_OFFSETS:
             x, y = x0 + off_x, y0 + off_y
             bx, by = x // 4, y // 4
             modes = intra.available_luma4_modes(y > 0, x > 0)
             best_mode, best_pred, best_cost = None, None, None
-            mpm = common.intra4_mpm(self._intra4_modes, bx, by)
+            mpm = common.intra4_mpm(layer.intra4_modes, bx, by)
             for mode in modes:
-                prediction = intra.predict_luma4(self._recon.y, x, y, mode)
+                prediction = intra.predict_luma4(layer.recon.y, x, y, mode)
                 mode_index = intra.LUMA4_MODES.index(mode)
                 bits = 1 if mode_index == mpm else 3
                 cost = kernels.sad(source.y[y : y + 4, x : x + 4], prediction)
@@ -231,30 +222,25 @@ class H264Encoder(VideoEncoder):
                 writer.write_bit(0)
                 remaining = mode_index - (1 if mode_index > mpm else 0)
                 writer.write_bits(remaining, 2)
-            self._intra4_modes[(bx, by)] = mode_index
+            layer.intra4_modes[(bx, by)] = mode_index
 
             residual = kernels.sub(source.y[y : y + 4, x : x + 4], best_pred)
             levels = kernels.quant_h264_4x4(kernels.fwd_transform4(residual), qp, intra=True)
-            scanned = scan4(levels)
-            total_coeff = self.cavlc.encode_block(writer, scanned, self._tc_luma.nc(bx, by))
-            self._tc_luma.set(bx, by, total_coeff)
-            if total_coeff:
-                rebuilt = kernels.inv_transform4(kernels.dequant_h264_4x4(levels, qp))
-                pixels = kernels.add_clip(best_pred, rebuilt)
-            else:
-                pixels = best_pred
-            self._recon.store_block("y", x, y, pixels)
-        self._meta.mark_intra_mb(mbx, mby)
+            total_coeff = self.cavlc.encode_block(writer, scan4(levels), layer.tc_luma.nc(bx, by))
+            layer.tc_luma.set(bx, by, total_coeff)
+            layer.reconstruct_luma4(x, y, best_pred, levels if total_coeff else None)
+        layer.meta.mark_intra_mb(mbx, mby)
         self._code_intra_chroma(writer, source, mbx, mby)
         self.stats.intra_macroblocks += 1
 
     def _code_i16_mb(self, writer: BitWriter, source: WorkingFrame,
                      mbx: int, mby: int, mode: str) -> None:
         kernels = self.kernels
+        layer = self._layer
         qp = self.config.qp
         x0, y0 = 16 * mbx, 16 * mby
         write_ue(writer, intra.BLOCK_MODES.index(mode))
-        prediction = intra.predict_block(self._recon.y, x0, y0, 16, mode)
+        prediction = intra.predict_block(layer.recon.y, x0, y0, 16, mode)
         residual = kernels.sub(source.y[y0 : y0 + 16, x0 : x0 + 16], prediction)
 
         dc = np.zeros((4, 4), dtype=np.int64)
@@ -269,28 +255,19 @@ class H264Encoder(VideoEncoder):
         has_ac = any(np.any(levels) for levels in ac_levels)
         writer.write_bit(1 if has_ac else 0)
 
-        nc_dc = self._tc_luma.nc(4 * mbx, 4 * mby)
+        nc_dc = layer.tc_luma.nc(4 * mbx, 4 * mby)
         self.cavlc.encode_block(writer, scan4(dc_levels), nc_dc)
 
-        dc_rebuilt = kernels.dequant_h264_dc4(dc_levels, qp)
         for block_index, (off_x, off_y) in enumerate(common.LUMA_OFFSETS):
             bx, by = (x0 + off_x) // 4, (y0 + off_y) // 4
-            levels = ac_levels[block_index]
+            total_coeff = 0
             if has_ac:
                 total_coeff = self.cavlc.encode_block(
-                    writer, scan4(levels)[1:], self._tc_luma.nc(bx, by)
+                    writer, scan4(ac_levels[block_index])[1:], layer.tc_luma.nc(bx, by)
                 )
-            else:
-                total_coeff = 0
-            self._tc_luma.set(bx, by, total_coeff)
-            coeffs = kernels.dequant_h264_4x4(levels, qp)
-            coeffs[0, 0] = dc_rebuilt[off_y // 4, off_x // 4]
-            pixels = kernels.add_clip(
-                prediction[off_y : off_y + 4, off_x : off_x + 4],
-                kernels.inv_transform4(coeffs),
-            )
-            self._recon.store_block("y", x0 + off_x, y0 + off_y, pixels)
-        self._meta.mark_intra_mb(mbx, mby)
+            layer.tc_luma.set(bx, by, total_coeff)
+        layer.reconstruct_i16(mbx, mby, prediction, dc_levels, ac_levels if has_ac else None)
+        layer.meta.mark_intra_mb(mbx, mby)
         self._code_intra_chroma(writer, source, mbx, mby)
         self.stats.intra_macroblocks += 1
 
@@ -299,16 +276,16 @@ class H264Encoder(VideoEncoder):
         x, y = 8 * mbx, 8 * mby
         best_mode, best_cost, best_pred = None, None, None
         for mode in intra.available_block_modes(y > 0, x > 0):
-            pred_u = intra.predict_block(self._recon.u, x, y, 8, mode)
-            pred_v = intra.predict_block(self._recon.v, x, y, 8, mode)
+            pred_u = intra.predict_block(self._layer.recon.u, x, y, 8, mode)
+            pred_v = intra.predict_block(self._layer.recon.v, x, y, 8, mode)
             cost = self.kernels.sad(source.u[y : y + 8, x : x + 8], pred_u)
             cost += self.kernels.sad(source.v[y : y + 8, x : x + 8], pred_v)
             if best_cost is None or cost < best_cost:
                 best_mode, best_cost, best_pred = mode, cost, (pred_u, pred_v)
         write_ue(writer, intra.BLOCK_MODES.index(best_mode))
-        prep = self._prepare_chroma(source, dict(zip(("u", "v"), best_pred)), mbx, mby, intra_mb=True)
-        self._write_chroma(writer, prep, mbx, mby)
-        self._recon_chroma(prep, dict(zip(("u", "v"), best_pred)), mbx, mby)
+        prediction = dict(zip(("u", "v"), best_pred))
+        prep = self._prepare_chroma(source, prediction, mbx, mby, intra_mb=True)
+        self._code_chroma(writer, prep, prediction, mbx, mby)
 
     # ------------------------------------------------------------------
     # chroma residual (shared by every macroblock type)
@@ -345,89 +322,31 @@ class H264Encoder(VideoEncoder):
         prep.cbp = 2 if any_ac else (1 if any_dc else 0)
         return prep
 
-    def _write_chroma(self, writer: BitWriter, prep: _ChromaPrep,
-                      mbx: int, mby: int) -> None:
+    def _code_chroma(self, writer: BitWriter, prep: _ChromaPrep,
+                     prediction: Dict[str, np.ndarray], mbx: int, mby: int) -> None:
+        """Write a macroblock's chroma residual, then reconstruct its chroma."""
+        layer = self._layer
         write_ue(writer, prep.cbp)
-        if prep.cbp == 0:
-            self._set_chroma_tc_zero(mbx, mby)
-            return
-        for plane in ("u", "v"):
-            self.cavlc.encode_block(writer, scan(prep.dc_levels[plane], ZIGZAG_2X2), 0)
+        if prep.cbp:
+            for plane in ("u", "v"):
+                self.cavlc.encode_block(writer, scan(prep.dc_levels[plane], ZIGZAG_2X2), 0)
         if prep.cbp < 2:
-            self._set_chroma_tc_zero(mbx, mby)
-            return
-        for plane in ("u", "v"):
-            grid = self._tc_chroma[plane]
-            for block_index, (off_x, off_y) in enumerate(common.CHROMA_OFFSETS):
-                bx = (8 * mbx + off_x) // 4
-                by = (8 * mby + off_y) // 4
-                total_coeff = self.cavlc.encode_block(
-                    writer, scan4(prep.ac_levels[plane][block_index])[1:], grid.nc(bx, by)
-                )
-                grid.set(bx, by, total_coeff)
-
-    def _set_chroma_tc_zero(self, mbx: int, mby: int) -> None:
-        for plane in ("u", "v"):
-            grid = self._tc_chroma[plane]
-            for off_x, off_y in common.CHROMA_OFFSETS:
-                grid.set((8 * mbx + off_x) // 4, (8 * mby + off_y) // 4, 0)
-
-    def _recon_chroma(self, prep: _ChromaPrep, prediction: Dict[str, np.ndarray],
-                      mbx: int, mby: int) -> None:
-        kernels = self.kernels
-        qp = self.config.qp
-        x0, y0 = 8 * mbx, 8 * mby
-        for plane in ("u", "v"):
-            if prep.cbp >= 1:
-                dc_rebuilt = kernels.dequant_h264_dc2(prep.dc_levels[plane], qp)
-            else:
-                dc_rebuilt = np.zeros((2, 2), dtype=np.int64)
-            for block_index, (off_x, off_y) in enumerate(common.CHROMA_OFFSETS):
-                pred_block = prediction[plane][off_y : off_y + 4, off_x : off_x + 4]
-                if prep.cbp == 2:
-                    levels = prep.ac_levels[plane][block_index]
-                else:
-                    levels = np.zeros((4, 4), dtype=np.int64)
-                coeffs = kernels.dequant_h264_4x4(levels, qp)
-                coeffs[0, 0] = dc_rebuilt[off_y // 4, off_x // 4]
-                pixels = kernels.add_clip(pred_block, kernels.inv_transform4(coeffs))
-                self._recon.store_block(plane, x0 + off_x, y0 + off_y, pixels)
+            layer.clear_chroma_tc(mbx, mby)
+        else:
+            for plane in ("u", "v"):
+                grid = layer.tc_chroma[plane]
+                for block_index, (off_x, off_y) in enumerate(common.CHROMA_OFFSETS):
+                    bx = (8 * mbx + off_x) // 4
+                    by = (8 * mby + off_y) // 4
+                    total_coeff = self.cavlc.encode_block(
+                        writer, scan4(prep.ac_levels[plane][block_index])[1:], grid.nc(bx, by)
+                    )
+                    grid.set(bx, by, total_coeff)
+        layer.reconstruct_chroma(mbx, mby, prediction, prep.cbp, prep.dc_levels, prep.ac_levels)
 
     # ------------------------------------------------------------------
     # inter prediction helpers
     # ------------------------------------------------------------------
-
-    def _partition_prediction(
-        self,
-        reference: WorkingFrame,
-        mbx: int,
-        mby: int,
-        assignments: List[Tuple[Tuple[int, int, int, int], MotionVector]],
-    ) -> Dict[str, np.ndarray]:
-        """Assemble an MB prediction from per-partition (rect, mv) pairs."""
-        kernels = self.kernels
-        search_range = self.config.search_range
-        luma = reference.padded("y", search_range)
-        pred_y = np.zeros((16, 16), dtype=np.int64)
-        pred_c = {
-            "u": np.zeros((8, 8), dtype=np.int64),
-            "v": np.zeros((8, 8), dtype=np.int64),
-        }
-        for (off_x, off_y, width, height), mv in assignments:
-            px, py = luma.offset(16 * mbx + off_x, 16 * mby + off_y)
-            pred_y[off_y : off_y + height, off_x : off_x + width] = kernels.mc_qpel_h264(
-                luma.plane, px, py, width, height, mv.x, mv.y
-            )
-            for plane in ("u", "v"):
-                padded = reference.padded(plane, search_range)
-                cx, cy = padded.offset(8 * mbx + off_x // 2, 8 * mby + off_y // 2)
-                pred_c[plane][
-                    off_y // 2 : (off_y + height) // 2,
-                    off_x // 2 : (off_x + width) // 2,
-                ] = kernels.mc_chroma_bilinear8(
-                    padded.plane, cx, cy, width // 2, height // 2, mv.x, mv.y
-                )
-        return {"y": pred_y, "u": pred_c["u"], "v": pred_c["v"]}
 
     def _search_partition(
         self,
@@ -490,36 +409,24 @@ class H264Encoder(VideoEncoder):
                 cbp |= 1 << common.luma_quadrant(block_index)
         return cbp, blocks
 
-    def _write_luma_residual(self, writer: BitWriter, cbp: int,
-                             blocks: List[np.ndarray], mbx: int, mby: int) -> None:
+    def _code_luma_residual(self, writer: BitWriter, cbp: int, blocks: List[np.ndarray],
+                            prediction: np.ndarray, mbx: int, mby: int) -> None:
+        """Write an inter macroblock's luma residual, then reconstruct its luma."""
+        layer = self._layer
         writer.write_bits(cbp, 4)
+        coded: Dict[int, np.ndarray] = {}
         for block_index, (off_x, off_y) in enumerate(common.LUMA_OFFSETS):
             bx = (16 * mbx + off_x) // 4
             by = (16 * mby + off_y) // 4
+            total_coeff = 0
             if cbp & (1 << common.luma_quadrant(block_index)):
                 total_coeff = self.cavlc.encode_block(
-                    writer, scan4(blocks[block_index]), self._tc_luma.nc(bx, by)
+                    writer, scan4(blocks[block_index]), layer.tc_luma.nc(bx, by)
                 )
-            else:
-                total_coeff = 0
-            self._tc_luma.set(bx, by, total_coeff)
-            self._meta.set_nonzero(bx, by, total_coeff > 0)
-
-    def _recon_luma_inter(self, cbp: int, blocks: List[np.ndarray],
-                          prediction: np.ndarray, mbx: int, mby: int) -> None:
-        kernels = self.kernels
-        qp = self.config.qp
-        x0, y0 = 16 * mbx, 16 * mby
-        for block_index, (off_x, off_y) in enumerate(common.LUMA_OFFSETS):
-            pred_block = prediction[off_y : off_y + 4, off_x : off_x + 4]
-            if cbp & (1 << common.luma_quadrant(block_index)) and np.any(blocks[block_index]):
-                rebuilt = kernels.inv_transform4(
-                    kernels.dequant_h264_4x4(blocks[block_index], qp)
-                )
-                pixels = kernels.add_clip(pred_block, rebuilt)
-            else:
-                pixels = pred_block
-            self._recon.store_block("y", x0 + off_x, y0 + off_y, pixels)
+                if total_coeff:
+                    coded[block_index] = blocks[block_index]
+            layer.tc_luma.set(bx, by, total_coeff)
+        layer.reconstruct_luma(mbx, mby, prediction, coded)
 
     # ------------------------------------------------------------------
     # P macroblocks
@@ -528,7 +435,8 @@ class H264Encoder(VideoEncoder):
     def _encode_p_mb(self, writer: BitWriter, source: WorkingFrame,
                      l0: List[WorkingFrame], mbx: int, mby: int) -> None:
         config = self.config
-        grid = self._grid_l0
+        layer = self._layer
+        grid = layer.grid_l0
 
         # 16x16 search over every reference; keep the best.
         best_ref, best16 = 0, None
@@ -568,10 +476,10 @@ class H264Encoder(VideoEncoder):
 
         rects = PARTITION_SHAPES[best_shape]
         assignments = [
-            (rect, result.mv)
+            (reference, rect, result.mv)
             for rect, result in zip(rects, shape_results[best_shape])
         ]
-        prediction = self._partition_prediction(reference, mbx, mby, assignments)
+        prediction = layer.prediction(mbx, mby, assignments)
         cbp_luma, luma_blocks = self._prepare_luma_residual(source, prediction["y"], mbx, mby)
         chroma_prep = self._prepare_chroma(source, prediction, mbx, mby, intra_mb=False)
 
@@ -581,16 +489,13 @@ class H264Encoder(VideoEncoder):
             and best_ref == 0
             and cbp_luma == 0
             and chroma_prep.cbp == 0
-            and assignments[0][1] == grid.predictor(4 * mbx, 4 * mby, 4)
+            and assignments[0][2] == grid.predictor(4 * mbx, 4 * mby, 4)
         ):
             write_ue(writer, common.P_SKIP)
-            mv = assignments[0][1]
+            mv = assignments[0][2]
             grid.set_rect(4 * mbx, 4 * mby, 4, 4, mv, 0)
-            self._meta.mark_inter(4 * mbx, 4 * mby, 4, 4, mv, 0)
-            self._recon_luma_inter(0, luma_blocks, prediction["y"], mbx, mby)
-            self._recon_chroma(chroma_prep, prediction, mbx, mby)
-            self._set_chroma_tc_zero(mbx, mby)
-            self._set_luma_tc_zero(mbx, mby)
+            layer.meta.mark_inter(4 * mbx, 4 * mby, 4, 4, mv, 0)
+            layer.store_prediction(mbx, mby, prediction)
             self.stats.skipped_macroblocks += 1
             return
 
@@ -604,16 +509,10 @@ class H264Encoder(VideoEncoder):
             write_se(writer, result.mv.x - predictor.x)
             write_se(writer, result.mv.y - predictor.y)
             grid.set_rect(bx, by, width // 4, height // 4, result.mv, best_ref)
-            self._meta.mark_inter(bx, by, width // 4, height // 4, result.mv, best_ref)
-        self._write_luma_residual(writer, cbp_luma, luma_blocks, mbx, mby)
-        self._write_chroma(writer, chroma_prep, mbx, mby)
-        self._recon_luma_inter(cbp_luma, luma_blocks, prediction["y"], mbx, mby)
-        self._recon_chroma(chroma_prep, prediction, mbx, mby)
+            layer.meta.mark_inter(bx, by, width // 4, height // 4, result.mv, best_ref)
+        self._code_luma_residual(writer, cbp_luma, luma_blocks, prediction["y"], mbx, mby)
+        self._code_chroma(writer, chroma_prep, prediction, mbx, mby)
         self.stats.inter_macroblocks += 1
-
-    def _set_luma_tc_zero(self, mbx: int, mby: int) -> None:
-        for off_x, off_y in common.LUMA_OFFSETS:
-            self._tc_luma.set((16 * mbx + off_x) // 4, (16 * mby + off_y) // 4, 0)
 
     def _quick_intra_cost(self, source: WorkingFrame, mbx: int, mby: int) -> int:
         _, cost = self._best_i16_mode(source, mbx, mby)
@@ -639,15 +538,16 @@ class H264Encoder(VideoEncoder):
                      forward: WorkingFrame, backward: WorkingFrame,
                      mbx: int, mby: int) -> None:
         kernels = self.kernels
+        layer = self._layer
         rect = (0, 0, 16, 16)
-        fwd = self._search_partition(source, forward, mbx, mby, rect, self._grid_l0)
-        bwd = self._search_partition(source, backward, mbx, mby, rect, self._grid_l1)
+        fwd = self._search_partition(source, forward, mbx, mby, rect, layer.grid_l0)
+        bwd = self._search_partition(source, backward, mbx, mby, rect, layer.grid_l1)
 
-        pred_fwd = self._partition_prediction(forward, mbx, mby, [(rect, fwd.mv)])
-        pred_bwd = self._partition_prediction(backward, mbx, mby, [(rect, bwd.mv)])
+        pred_fwd = layer.prediction(mbx, mby, [(forward, rect, fwd.mv)])
+        pred_bwd = layer.prediction(mbx, mby, [(backward, rect, bwd.mv)])
         bx, by = 4 * mbx, 4 * mby
-        pred_l0 = self._grid_l0.predictor(bx, by, 4)
-        pred_l1 = self._grid_l1.predictor(bx, by, 4)
+        pred_l0 = layer.grid_l0.predictor(bx, by, 4)
+        pred_l1 = layer.grid_l1.predictor(bx, by, 4)
         current = source.y[16 * mby : 16 * mby + 16, 16 * mbx : 16 * mbx + 16]
         bi_luma = kernels.average(pred_fwd["y"], pred_bwd["y"])
         bi_rate = (
@@ -669,21 +569,15 @@ class H264Encoder(VideoEncoder):
         elif mode == "bwd":
             prediction = pred_bwd
         else:
-            prediction = {
-                name: kernels.average(pred_fwd[name], pred_bwd[name])
-                for name in ("y", "u", "v")
-            }
+            prediction = layer.average(pred_fwd, pred_bwd)
         cbp_luma, luma_blocks = self._prepare_luma_residual(source, prediction["y"], mbx, mby)
         chroma_prep = self._prepare_chroma(source, prediction, mbx, mby, intra_mb=False)
 
         if mode == "fwd" and cbp_luma == 0 and chroma_prep.cbp == 0 and fwd.mv == pred_l0:
             write_ue(writer, common.B_SKIP)
-            self._grid_l0.set_rect(bx, by, 4, 4, fwd.mv, 0)
-            self._meta.mark_inter(bx, by, 4, 4, fwd.mv, 0)
-            self._recon_luma_inter(0, luma_blocks, prediction["y"], mbx, mby)
-            self._recon_chroma(chroma_prep, prediction, mbx, mby)
-            self._set_luma_tc_zero(mbx, mby)
-            self._set_chroma_tc_zero(mbx, mby)
+            layer.grid_l0.set_rect(bx, by, 4, 4, fwd.mv, 0)
+            layer.meta.mark_inter(bx, by, 4, 4, fwd.mv, 0)
+            layer.store_prediction(mbx, mby, prediction)
             self.stats.skipped_macroblocks += 1
             return
 
@@ -693,18 +587,12 @@ class H264Encoder(VideoEncoder):
         if mode in ("fwd", "bi"):
             write_se(writer, fwd.mv.x - pred_l0.x)
             write_se(writer, fwd.mv.y - pred_l0.y)
-            self._grid_l0.set_rect(bx, by, 4, 4, fwd.mv, 0)
+            layer.grid_l0.set_rect(bx, by, 4, 4, fwd.mv, 0)
         if mode in ("bwd", "bi"):
             write_se(writer, bwd.mv.x - pred_l1.x)
             write_se(writer, bwd.mv.y - pred_l1.y)
-            self._grid_l1.set_rect(bx, by, 4, 4, bwd.mv, 0)
-        self._meta.mark_inter(bx, by, 4, 4, deblock_mv, 0 if mode != "bwd" else 1)
-        self._write_luma_residual(writer, cbp_luma, luma_blocks, mbx, mby)
-        self._write_chroma(writer, chroma_prep, mbx, mby)
-        self._recon_luma_inter(cbp_luma, luma_blocks, prediction["y"], mbx, mby)
-        self._recon_chroma(chroma_prep, prediction, mbx, mby)
+            layer.grid_l1.set_rect(bx, by, 4, 4, bwd.mv, 0)
+        layer.meta.mark_inter(bx, by, 4, 4, deblock_mv, 0 if mode != "bwd" else 1)
+        self._code_luma_residual(writer, cbp_luma, luma_blocks, prediction["y"], mbx, mby)
+        self._code_chroma(writer, chroma_prep, prediction, mbx, mby)
         self.stats.inter_macroblocks += 1
-
-
-#: Alias so the encoder module reads naturally.
-TcGridAlias = common.TcGrid

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.bench.characterize import CountingKernels
 from repro.codecs.base import EncodedPicture, EncodedVideo
 from repro.codecs.frames import WorkingFrame
 from repro.codecs.h264 import H264Config, H264Decoder, H264Encoder, common
@@ -119,6 +120,28 @@ class TestRateBehaviour:
             Mpeg2Config(width=video.width, height=video.height, qscale=5, search_range=8)
         ).encode_sequence(video)
         assert h264_stream.total_bytes < mpeg2_stream.total_bytes
+
+
+#: The kernels that rebuild a macroblock from its prediction and levels.
+RECONSTRUCTION_KERNELS = ("add_clip", "inv_transform4", "dequant_h264_4x4",
+                          "dequant_h264_dc2", "dequant_h264_dc4")
+
+
+def reconstruction_calls(kernels):
+    return {name: kernels.profile.kernels[name].calls for name in RECONSTRUCTION_KERNELS}
+
+
+class TestClosedLoop:
+    def test_encoder_makes_the_decoders_reconstruction_calls(self):
+        """The encoder rebuilds every macroblock through the decoder's path."""
+        video = make_moving_sequence(width=48, height=32, frames=5)
+        encoder = H264Encoder(H264Config(width=48, height=32, qp=26, search_range=4))
+        encoder.kernels = CountingKernels()
+        stream = encoder.encode_sequence(video)
+        decoder = H264Decoder()
+        decoder.kernels = CountingKernels()
+        decoder.decode(stream)
+        assert reconstruction_calls(encoder.kernels) == reconstruction_calls(decoder.kernels)
 
 
 class TestValidation:
