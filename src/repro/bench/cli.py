@@ -24,7 +24,7 @@ import argparse
 import json as json_module
 import sys
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 import repro.telemetry as telemetry
 from repro.bench import commands as commands_module
@@ -60,6 +60,18 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--codecs", default="",
                         help="comma-separated codecs (paper trio by default; "
                              "extensions: mjpeg, vc1)")
+
+
+def _number_list(convert: Callable[[str], Any]) -> Callable[[str], Tuple[Any, ...]]:
+    """An argparse type: comma-separated numbers, each read by ``convert``."""
+    def parse(text: str) -> Tuple[Any, ...]:
+        try:
+            return tuple(convert(value) for value in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {convert.__name__} values, got {text!r}"
+            ) from None
+    return parse
 
 
 def _add_observe_arguments(parser: argparse.ArgumentParser,
@@ -208,11 +220,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_observe_arguments(st)
     st.add_argument("--codecs", default="",
                     help="comma-separated codecs (default: all five)")
-    st.add_argument("--loss", default="0.02,0.05,0.10",
+    st.add_argument("--loss", default="0.02,0.05,0.10", type=_number_list(float),
                     help="comma-separated packet loss rates")
-    st.add_argument("--burst", default="1,3",
+    st.add_argument("--burst", default="1,3", type=_number_list(float),
                     help="comma-separated mean burst lengths (packets)")
-    st.add_argument("--fec", default="0,4",
+    st.add_argument("--fec", default="0,4", type=_number_list(int),
                     help="comma-separated FEC group sizes (0 = no FEC)")
     st.add_argument("--trials", type=int, default=3,
                     help="seeded channels per grid point")
@@ -230,7 +242,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_observe_arguments(sv)
     sv.add_argument("--clients", type=int, default=16,
                     help="clients in the generated population")
-    sv.add_argument("--seeds", default="0",
+    sv.add_argument("--seeds", default="0", type=_number_list(int),
                     help="comma-separated traffic seeds (one serve run each)")
     sv.add_argument("--codecs", default="h264",
                     help="comma-separated codecs across the population")
@@ -292,7 +304,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "(quantiser sweep RD curves)")
     _add_config_arguments(bd)
     _add_observe_arguments(bd)
-    bd.add_argument("--qscales", default="2,4,8,16",
+    bd.add_argument("--qscales", default="2,4,8,16", type=_number_list(int),
                     help="comma-separated quantiser sweep points (>= 4)")
 
     args = parser.parse_args(argv)
@@ -421,9 +433,9 @@ def _dispatch(args) -> int:
                                 "frames": args.frames})
         reports = run_streaming(
             codecs=codecs,
-            loss_rates=tuple(float(v) for v in args.loss.split(",")),
-            burst_lengths=tuple(float(v) for v in args.burst.split(",")),
-            fec_groups=tuple(int(v) for v in args.fec.split(",")),
+            loss_rates=args.loss,
+            burst_lengths=args.burst,
+            fec_groups=args.fec,
             trials=args.trials,
             seed=args.seed,
             frames=args.frames,
@@ -442,12 +454,12 @@ def _dispatch(args) -> int:
         from repro.observe.record import records_from_serve
         from repro.origin.bench import render_serve, run_serve
 
-        seeds = tuple(int(value) for value in args.seeds.split(","))
+        seeds = args.seeds
         info = _run_info(args)
         info = RunInfo(run_id=info.run_id, created=info.created,
                        git_sha=info.git_sha,
                        context={"clients": args.clients,
-                                "seeds": args.seeds,
+                                "seeds": ",".join(map(str, seeds)),
                                 "frames": args.frames,
                                 "chaos": args.chaos})
         events_path = getattr(args, "events", "")
@@ -630,7 +642,7 @@ def _run_bdrate(args) -> None:
 
     base = _config_from_args(args)
     info = _run_info(args, base)
-    qscales = sorted(int(value) for value in args.qscales.split(","))
+    qscales = sorted(args.qscales)
     all_rows = []
     for qscale in qscales:
         config = replace(base, qscale=qscale)

@@ -164,6 +164,8 @@ def run_robustness(
     progress: Optional[ProgressCallback] = None,
 ) -> List[RobustnessReport]:
     """Run the seeded fault sweep and return one report per codec."""
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     video = make_bench_clip(width=width, height=height, frames=frames)
     reports = []
     for codec in codecs:

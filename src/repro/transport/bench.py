@@ -28,6 +28,7 @@ from repro.codecs import get_decoder, get_encoder
 from repro.codecs.base import EncodedVideo
 from repro.common.metrics import PSNR_IDENTICAL, sequence_psnr
 from repro.common.yuv import YuvSequence
+from repro.errors import ConfigError
 from repro.robustness.bench import ALL_CODECS, encoder_fields, make_bench_clip
 from repro.robustness.engine import decode_stream
 from repro.transport.channel import LossyChannel
@@ -133,6 +134,11 @@ def run_streaming(
     progress: Optional[ProgressCallback] = None,
 ) -> List[StreamingReport]:
     """Run the seeded streaming sweep; one report per grid point."""
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
+    for fec_group in fec_groups:
+        if fec_group < 0:
+            raise ConfigError(f"FEC group size must be >= 0, got {fec_group}")
     video = make_bench_clip(width=width, height=height, frames=frames)
     reports: List[StreamingReport] = []
     config_index = 0

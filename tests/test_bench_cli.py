@@ -88,3 +88,30 @@ class TestStreaming:
         assert main(["streaming", "--codecs", "mpeg2", "--loss", "1.5",
                      "--trials", "1", "--frames", "3"]) == 1
         assert "hdvb-bench:" in capsys.readouterr().err
+
+    def test_streaming_rejects_negative_fec_and_records_nothing(self, capsys, tmp_path):
+        store = tmp_path / "store"
+        assert main(["streaming", "--codecs", "mpeg2", "--loss", "0.05",
+                     "--burst", "3", "--fec", "-4", "--trials", "1",
+                     "--frames", "3", "--record", "--store", str(store)]) == 1
+        assert "hdvb-bench: FEC group size must be >= 0" in capsys.readouterr().err
+        assert not (store / "history.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["streaming", "robustness"])
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_sweeps_reject_trials_below_one(self, command, trials, capsys):
+        assert main([command, "--codecs", "mpeg2", "--trials", trials,
+                     "--frames", "3"]) == 1
+        assert "hdvb-bench: trials must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["streaming", "--loss", "abc"],
+        ["streaming", "--burst", "x"],
+        ["streaming", "--fec", "x"],
+        ["serve", "--seeds", "0,x"],
+    ])
+    def test_non_numeric_list_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "usage:" in capsys.readouterr().err
