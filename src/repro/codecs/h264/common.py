@@ -155,14 +155,17 @@ class MacroblockLayer:
         return {name: self.kernels.average(first[name], second[name])
                 for name in ("y", "u", "v")}
 
-    def store_prediction(self, mbx: int, mby: int,
-                         prediction: Dict[str, np.ndarray]) -> None:
-        """Reconstruct a skipped macroblock: no coefficients, its prediction as is."""
-        x0, y0 = 16 * mbx, 16 * mby
+    def skip(self, mbx: int, mby: int, mv: MotionVector,
+             prediction: Dict[str, np.ndarray]) -> None:
+        """Reconstruct a skipped macroblock: one 16x16 partition on L0
+        reference 0 with vector ``mv``, no coefficients, its prediction as is."""
+        bx, by = 4 * mbx, 4 * mby
+        self.grid_l0.set_rect(bx, by, 4, 4, mv, 0)
+        self.meta.mark_inter(bx, by, 4, 4, mv, 0)
         for off_x, off_y in LUMA_OFFSETS:
-            self.tc_luma.set((x0 + off_x) // 4, (y0 + off_y) // 4, 0)
+            self.tc_luma.set(bx + off_x // 4, by + off_y // 4, 0)
         self.clear_chroma_tc(mbx, mby)
-        self.recon.store_block("y", x0, y0, prediction["y"])
+        self.recon.store_block("y", 16 * mbx, 16 * mby, prediction["y"])
         for plane in ("u", "v"):
             self.recon.store_block(plane, 8 * mbx, 8 * mby, prediction[plane])
 

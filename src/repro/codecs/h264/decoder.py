@@ -233,10 +233,7 @@ class H264Decoder(VideoDecoder):
         bx, by = 4 * mbx, 4 * mby
         if mode == common.P_SKIP:
             mv = grid.predictor(bx, by, 4)
-            grid.set_rect(bx, by, 4, 4, mv, 0)
-            layer.meta.mark_inter(bx, by, 4, 4, mv, 0)
-            prediction = self._prediction(mbx, mby, [(l0[0], (0, 0, 16, 16), mv)])
-            layer.store_prediction(mbx, mby, prediction)
+            layer.skip(mbx, mby, mv, self._prediction(mbx, mby, [(l0[0], (0, 0, 16, 16), mv)]))
             return
         if mode == common.P_I4:
             self._decode_i4_mb(reader, mbx, mby)
@@ -275,9 +272,7 @@ class H264Decoder(VideoDecoder):
         rect = (0, 0, 16, 16)
         if mode == common.B_SKIP:
             mv = layer.grid_l0.predictor(bx, by, 4)
-            layer.grid_l0.set_rect(bx, by, 4, 4, mv, 0)
-            layer.meta.mark_inter(bx, by, 4, 4, mv, 0)
-            layer.store_prediction(mbx, mby, self._prediction(mbx, mby, [(forward, rect, mv)]))
+            layer.skip(mbx, mby, mv, self._prediction(mbx, mby, [(forward, rect, mv)]))
             return
         if mode == common.B_I4:
             self._decode_i4_mb(reader, mbx, mby)

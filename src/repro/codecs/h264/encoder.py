@@ -492,10 +492,7 @@ class H264Encoder(VideoEncoder):
             and assignments[0][2] == grid.predictor(4 * mbx, 4 * mby, 4)
         ):
             write_ue(writer, common.P_SKIP)
-            mv = assignments[0][2]
-            grid.set_rect(4 * mbx, 4 * mby, 4, 4, mv, 0)
-            layer.meta.mark_inter(4 * mbx, 4 * mby, 4, 4, mv, 0)
-            layer.store_prediction(mbx, mby, prediction)
+            layer.skip(mbx, mby, assignments[0][2], prediction)
             self.stats.skipped_macroblocks += 1
             return
 
@@ -575,9 +572,7 @@ class H264Encoder(VideoEncoder):
 
         if mode == "fwd" and cbp_luma == 0 and chroma_prep.cbp == 0 and fwd.mv == pred_l0:
             write_ue(writer, common.B_SKIP)
-            layer.grid_l0.set_rect(bx, by, 4, 4, fwd.mv, 0)
-            layer.meta.mark_inter(bx, by, 4, 4, fwd.mv, 0)
-            layer.store_prediction(mbx, mby, prediction)
+            layer.skip(mbx, mby, fwd.mv, prediction)
             self.stats.skipped_macroblocks += 1
             return
 

@@ -109,6 +109,7 @@ class TestStreaming:
         ["streaming", "--burst", "x"],
         ["streaming", "--fec", "x"],
         ["serve", "--seeds", "0,x"],
+        ["bdrate", "--qscales", "2,x"],
     ])
     def test_non_numeric_list_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
