@@ -454,12 +454,11 @@ def _dispatch(args) -> int:
         from repro.observe.record import records_from_serve
         from repro.origin.bench import render_serve, run_serve
 
-        seeds = args.seeds
         info = _run_info(args)
         info = RunInfo(run_id=info.run_id, created=info.created,
                        git_sha=info.git_sha,
                        context={"clients": args.clients,
-                                "seeds": ",".join(map(str, seeds)),
+                                "seeds": ",".join(map(str, args.seeds)),
                                 "frames": args.frames,
                                 "chaos": args.chaos})
         events_path = getattr(args, "events", "")
@@ -472,7 +471,7 @@ def _dispatch(args) -> int:
         try:
             reports = run_serve(
                 clients=args.clients,
-                seeds=seeds,
+                seeds=args.seeds,
                 codecs=tuple(args.codecs.split(",")),
                 frames=args.frames,
                 max_sessions=args.max_sessions or None,
