@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bench.characterize import CountingKernels, characterize_encode
 from repro.codecs import container, get_encoder
@@ -209,6 +210,91 @@ class TestSubpel:
 
 #: Each interpolation kernel with its fractional positions per pel.
 INTERP_UNITS = (("mc_halfpel", 2), ("mc_qpel_bilinear", 4), ("mc_qpel_h264", 4))
+
+#: The order the refinement visits a stage's neighbours; ties keep the first.
+NEIGHBOUR_ORDER = ((-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1))
+
+
+def reference_refinement(kernels, current, padded, x, y, width, height,
+                         integer, predictor, lagrangian, unit, interp):
+    """Sub-pel refinement, one candidate at a time: the per-block
+    interpolation kernel, ``sad`` and the rate term per neighbour."""
+    px, py = padded.offset(x, y)
+    interpolate = getattr(kernels, interp)
+
+    def cost(mv):
+        block = interpolate(padded.plane, px, py, width, height, mv.x, mv.y)
+        return kernels.sad(current, block) + lagrangian * mv_rate_bits(mv, predictor)
+
+    best_mv = integer.mv.scaled(unit)
+    best = SearchResult(best_mv, cost(best_mv))
+    step = unit >> 1
+    while step >= 1:
+        improved = best
+        for dx, dy in NEIGHBOUR_ORDER:
+            mv = MotionVector(best.mv.x + dx * step, best.mv.y + dy * step)
+            value = cost(mv)
+            if value < improved.cost:
+                improved = SearchResult(mv, value)
+        best = improved
+        step >>= 1
+    return best
+
+
+@st.composite
+def refinement_cases(draw):
+    """A textured plane, a block on it, a current block near a sub-pel
+    displacement of it, and the search state the refinement starts from.
+
+    Planes of large flat cells without grain make many candidates cost the
+    same, so the tie-breaking order is exercised too."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cell = draw(st.sampled_from((4, 16)))
+    grain = draw(st.integers(0, 12))
+    coarse = rng.integers(0, 256, (36 // cell + 1, 36 // cell + 1))
+    plane = np.kron(coarse, np.ones((cell, cell), dtype=np.int64))[:36, :36]
+    plane = np.clip(plane + rng.integers(-grain, grain + 1, plane.shape), 0, 255).astype(np.int64)
+    width, height = draw(st.sampled_from(((16, 16), (16, 8), (8, 16), (8, 8))))
+    x = draw(st.integers(0, 36 - width))
+    y = draw(st.integers(0, 36 - height))
+    search_range = 4
+    start = MotionVector(draw(st.integers(-search_range, search_range)),
+                         draw(st.integers(-search_range, search_range)))
+    true_x = 4 * start.x + draw(st.integers(-3, 3))
+    true_y = 4 * start.y + draw(st.integers(-3, 3))
+    amplitude = draw(st.integers(0, 6))
+    predictor = MotionVector(draw(st.integers(-20, 20)), draw(st.integers(-20, 20)))
+    lagrangian = draw(st.integers(0, 20))
+    return dict(plane=plane, width=width, height=height, x=x, y=y,
+                search_range=search_range, start=start, true_mv=(true_x, true_y),
+                noise=rng.integers(-amplitude, amplitude + 1, (height, width)),
+                predictor=predictor, lagrangian=lagrangian)
+
+
+class TestSubpelReference:
+    """``refine_subpel`` returns what the one-candidate-at-a-time refinement does."""
+
+    @pytest.mark.parametrize("backend", ["scalar", "simd"])
+    @pytest.mark.parametrize("interp,unit", INTERP_UNITS)
+    @given(case=refinement_cases())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_reference_refinement(self, backend, interp, unit, case):
+        kernels = get_kernels(backend)
+        padded = pad_plane(case["plane"], case["search_range"])
+        x, y, width, height = case["x"], case["y"], case["width"], case["height"]
+        px, py = padded.offset(x, y)
+        # The current block: the reference at a sub-pel displacement, plus noise.
+        true_x, true_y = case["true_mv"]
+        shifted = KERNELS.mc_qpel_bilinear(padded.plane, px, py, width, height, true_x, true_y)
+        current = np.clip(shifted + case["noise"], 0, 255).astype(np.int64)
+        integer = SearchResult(case["start"], 0)
+        predictor = case["predictor"] if unit == 4 else MotionVector(
+            case["predictor"].x // 2, case["predictor"].y // 2)
+        args = (current, padded, x, y, width, height, integer)
+        options = dict(predictor=predictor, lagrangian=case["lagrangian"],
+                       unit=unit, interp=interp)
+        expected = reference_refinement(kernels, *args, **options)
+        assert refine_subpel(kernels, *args, **options) == expected
 
 
 class TestPhasePlanes:

@@ -171,6 +171,36 @@ class TestKernelDispatch:
 
 
 # ---------------------------------------------------------------------------
+# motion search
+# ---------------------------------------------------------------------------
+
+class TestSearchCounters:
+    """``me.*.points`` counts candidates looked at, cache hits included.
+
+    The pinned values are those of the per-candidate search, so a search
+    that scores its candidates in batches must count exactly as many.
+    """
+
+    @pytest.mark.parametrize("codec,fields,expected", [
+        ("mpeg2", dict(qscale=5, me_algorithm="epzs"), (36, 638)),
+        ("h264", dict(qp=26, me_algorithm="hex",
+                      partitions=("16x16", "16x8", "8x16", "8x8")), (138, 3416)),
+    ])
+    def test_calls_and_points_are_pinned(self, codec, fields, expected):
+        video = make_moving_sequence(48, 32, 5)
+        telemetry.enable()
+        get_encoder(codec, width=48, height=32, **fields).encode_sequence(video)
+        telemetry.disable()
+        reg = telemetry.registry()
+        algorithm = fields["me_algorithm"]
+        calls, points = expected
+        assert reg.value("me.search.calls") == calls
+        assert reg.value("me.search.points") == points
+        assert reg.value(f"me.{algorithm}.calls") == calls
+        assert reg.value(f"me.{algorithm}.points") == points
+
+
+# ---------------------------------------------------------------------------
 # parallel encode
 # ---------------------------------------------------------------------------
 
