@@ -106,8 +106,14 @@ class ScalarKernels:
     # cost kernels
     # ------------------------------------------------------------------
 
-    def sad(self, a, b) -> int:
-        """Sum of absolute differences between two equal-shape blocks."""
+    def sad(self, a, b):
+        """Sum of absolute differences between two equal-shape blocks.
+
+        ``b`` may be an ``(n, h, w)`` stack of candidates for ``a``: the
+        result is then the list of their n sums.
+        """
+        if np.ndim(b) == 3:
+            return [self.sad(a, block) for block in b]
         la, lb = _to_list(a), _to_list(b)
         total = 0
         for row_a, row_b in zip(la, lb):
@@ -230,7 +236,12 @@ class ScalarKernels:
     # ------------------------------------------------------------------
 
     def fwd_transform4(self, block) -> np.ndarray:
-        """H.264 forward core transform: Cf @ X @ Cf^T (exact integers)."""
+        """H.264 forward core transform: Cf @ X @ Cf^T (exact integers).
+
+        ``block`` is one 4x4 block or an ``(n, 4, 4)`` stack of them.
+        """
+        if np.ndim(block) == 3:
+            return _per_block(self.fwd_transform4, block)
         x = _to_list(block)
         tmp = self._mat4(_CF, x)
         out = [
@@ -409,6 +420,9 @@ class ScalarKernels:
         return qbits, f
 
     def quant_h264_4x4(self, coeffs, qp: int, intra: bool) -> np.ndarray:
+        """``level = sign * ((|c| MF + f) >> qbits)`` on one 4x4 block or an ``(n, 4, 4)`` stack."""
+        if np.ndim(coeffs) == 3:
+            return _per_block(self.quant_h264_4x4, coeffs, qp, intra)
         c = _to_list(coeffs)
         qbits, f = self._h264_f(qp, intra)
         mf_row = _MF[qp % 6]

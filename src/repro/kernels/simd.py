@@ -49,8 +49,12 @@ class SimdKernels:
     # cost kernels
     # ------------------------------------------------------------------
 
-    def sad(self, a, b) -> int:
-        return int(np.sum(np.abs(_i64(a) - _i64(b))))
+    def sad(self, a, b):
+        # ``b`` is one block or an (n, h, w) stack of candidates for ``a``.
+        diff = np.abs(_i64(a) - _i64(b))
+        if diff.ndim == 3:
+            return diff.sum(axis=(1, 2)).tolist()
+        return int(diff.sum())
 
     def ssd(self, a, b) -> int:
         diff = _i64(a) - _i64(b)
@@ -90,12 +94,14 @@ class SimdKernels:
     # H.264 4x4 integer transform family
     # ------------------------------------------------------------------
 
+    # fwd_transform4 and inv_transform4 take a (4, 4) block or an
+    # (n, 4, 4) stack: matmul broadcasts over n.
+
     def fwd_transform4(self, block) -> np.ndarray:
         x = _i64(block)
         return _CF @ x @ _CF.T
 
     def inv_transform4(self, coeffs) -> np.ndarray:
-        # A (4, 4) block or an (n, 4, 4) stack: matmul broadcasts over n.
         w = _i64(coeffs)
         return (_CI @ w @ _CI.T + 128) >> 8
 
@@ -186,6 +192,9 @@ class SimdKernels:
         f = (1 << qbits) // 3 if intra else (1 << qbits) // 6
         return qbits, f
 
+    # quant_h264_4x4 and dequant_h264_4x4 take a (4, 4) block or an
+    # (n, 4, 4) stack: the (4, 4) MF and V matrices broadcast over n.
+
     def quant_h264_4x4(self, coeffs, qp: int, intra: bool) -> np.ndarray:
         c = _i64(coeffs)
         qbits, f = self._h264_f(qp, intra)
@@ -194,7 +203,6 @@ class SimdKernels:
         return sign * ((mag * mf + f) >> qbits)
 
     def dequant_h264_4x4(self, levels, qp: int) -> np.ndarray:
-        # A (4, 4) block or an (n, 4, 4) stack: the (4, 4) V matrix broadcasts.
         lv = _i64(levels)
         v = tables.H264_V[qp % 6][_POS]
         return (lv * v) << (qp // 6)

@@ -6,6 +6,7 @@ This is the invariant the whole scalar-vs-SIMD benchmark axis rests on
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.kernels import get_kernels
 
@@ -183,7 +184,27 @@ def stacks(low: int, high: int):
 
 
 class TestStackedH264Kernels:
-    """``dequant_h264_4x4`` and ``inv_transform4`` on a stack equal the per-block calls."""
+    """The H.264 4x4 transform and quantiser kernels on a stack equal the per-block calls."""
+
+    @given(stacks(-255, 255))
+    def test_fwd_transform4_stack(self, residuals):
+        results = []
+        for kernels in (SCALAR, SIMD):
+            stacked = kernels.fwd_transform4(residuals)
+            assert stacked.shape == residuals.shape
+            assert_same(stacked, [kernels.fwd_transform4(block) for block in residuals])
+            results.append(stacked)
+        assert_same(*results)
+
+    @given(stacks(-8160, 8160), st.integers(0, 51), st.booleans())
+    def test_quant_h264_stack(self, coeffs, qp, intra):
+        results = []
+        for kernels in (SCALAR, SIMD):
+            stacked = kernels.quant_h264_4x4(coeffs, qp, intra)
+            assert stacked.shape == coeffs.shape
+            assert_same(stacked, [kernels.quant_h264_4x4(block, qp, intra) for block in coeffs])
+            results.append(stacked)
+        assert_same(*results)
 
     @given(stacks(-2047, 2047), st.integers(0, 51))
     def test_dequant_h264_stack(self, levels, qp):
@@ -204,6 +225,30 @@ class TestStackedH264Kernels:
             assert_same(stacked, [kernels.inv_transform4(block) for block in coeffs])
             results.append(stacked)
         assert_same(*results)
+
+
+@st.composite
+def candidate_stacks(draw):
+    """A block and an ``(n, size, size)`` stack of candidates for it, n = 1..9."""
+    size = draw(st.sampled_from((4, 8, 16)))
+    count = draw(st.integers(1, 9))
+    samples = draw(arrays(np.int64, (count + 1, size, size), elements=st.integers(0, 255)))
+    return samples[0], samples[1:]
+
+
+class TestStackedSad:
+    """``sad`` of a block against a stack is the list of its per-candidate sums."""
+
+    @given(candidate_stacks())
+    def test_sad_stack(self, case):
+        block, candidates = case
+        results = []
+        for kernels in (SCALAR, SIMD):
+            stacked = kernels.sad(block, candidates)
+            assert stacked == [kernels.sad(block, candidate) for candidate in candidates]
+            assert all(type(value) is int for value in stacked)
+            results.append(stacked)
+        assert results[0] == results[1]
 
 
 class TestMotionCompensation:
