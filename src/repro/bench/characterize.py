@@ -61,16 +61,13 @@ def _operand_samples(kernel_name: str, args) -> int:
     Block-producing kernels (motion compensation, ``get_block``) take the
     whole padded reference plane plus ``(x, y, width, height)``; counting
     the plane would massively over-attribute work, so the output block
-    size is used instead.  Everything else is sized by its first array
-    operand.
+    size is used instead.  Everything else is sized by its largest array
+    operand, so ``sad(block, stack)`` counts every block of the stack.
     """
     if kernel_name.startswith("mc_") or kernel_name == "get_block":
         width, height = args[3], args[4]
         return int(width) * int(height)
-    for arg in args:
-        if isinstance(arg, np.ndarray):
-            return int(arg.size)
-    return 0
+    return max((arg.size for arg in args if isinstance(arg, np.ndarray)), default=0)
 
 
 class CountingKernels:

@@ -39,6 +39,15 @@ class TestCountingKernels:
         assert counting.profile.kernels["fdct8"].calls == 1
         assert counting.profile.total_calls == 3
 
+    def test_stacked_call_counts_every_block(self):
+        import numpy as np
+
+        counting = CountingKernels("simd")
+        a = np.zeros((8, 8), dtype=np.int64)
+        assert counting.sad(a, np.stack([a, a, a])) == [0, 0, 0]
+        assert counting.profile.kernels["sad"].calls == 1
+        assert counting.profile.kernels["sad"].samples == 3 * a.size
+
     def test_results_match_plain_backend(self):
         import numpy as np
 
