@@ -7,18 +7,21 @@ padded once per frame with a margin that covers the motion search range
 plus the widest interpolation support (the H.264 six-tap filter needs
 samples from -2 to +3 around the block).
 
-Sub-pel motion search scores many overlapping candidates against one
-reference, so a padded plane also caches *phase planes*: the whole plane
-interpolated once per sub-pel phase, of which every candidate block is a
-slice (:meth:`PaddedPlane.subpel_block`).
+Motion search scores many overlapping candidates against one reference,
+so a padded plane also caches two kinds of whole-plane views: per block
+size, a window view from which a set of integer-pel candidates is gathered
+as one stack (:meth:`PaddedPlane.integer_blocks`); per sub-pel phase, a
+*phase plane*, the whole plane interpolated once, of which every candidate
+block is a slice (:meth:`PaddedPlane.subpel_block`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import CodecError, ConfigError
 
@@ -35,20 +38,42 @@ class PaddedPlane:
     """A reference plane with replicated borders.
 
     ``plane`` holds the padded samples as ``int64``; frame coordinate
-    (x, y) lives at ``plane[y + pad, x + pad]``.  Phase planes built by
-    :meth:`subpel_block` live as long as this object.
+    (x, y) lives at ``plane[y + pad, x + pad]``.  The window views of
+    :meth:`integer_blocks` and the phase planes of :meth:`subpel_block`
+    live as long as this object.
     """
 
     plane: np.ndarray
     pad: int
     width: int
     height: int
+    _windows: Dict[Tuple[int, int], np.ndarray] = field(
+        default_factory=dict, repr=False)
     _phases: Dict[Tuple[str, int, int], np.ndarray] = field(
         default_factory=dict, repr=False)
 
     def offset(self, x: int, y: int) -> tuple:
         """Translate frame coordinates into padded-plane coordinates."""
         return (x + self.pad, y + self.pad)
+
+    def integer_blocks(self, x: int, y: int, width: int, height: int,
+                       mvs: Sequence) -> np.ndarray:
+        """The ``width`` x ``height`` blocks at (x + mv.x, y + mv.y), one per
+        vector of ``mvs``, as one ``(len(mvs), height, width)`` ``int64`` stack.
+
+        (x, y) are padded-plane coordinates.  Block ``i`` equals
+        ``get_block(self.plane, x + mvs[i].x, y + mvs[i].y, width, height)``:
+        the stack is gathered from a window view of the plane, cached per
+        block size.
+        """
+        windows = self._windows.get((width, height))
+        if windows is None:
+            windows = self._windows[(width, height)] = sliding_window_view(
+                self.plane, (height, width))
+        # Index arrays, not lists: NumPy gathers from arrays faster.
+        rows = np.array([y + mv.y for mv in mvs])
+        cols = np.array([x + mv.x for mv in mvs])
+        return windows[rows, cols]
 
     def subpel_block(self, kernels, kernel: str, unit: int, x: int, y: int,
                      width: int, height: int, mvx: int, mvy: int) -> np.ndarray:

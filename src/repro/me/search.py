@@ -12,7 +12,7 @@ layered on top by :mod:`repro.me.subpel`.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import List, Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.me.cost import MotionCost
@@ -40,12 +40,13 @@ HEXAGON = (
 )
 
 
-def _best(cost: MotionCost, candidates: Iterable[MotionVector],
-          seed: SearchResult) -> SearchResult:
-    best = seed
-    for mv in candidates:
-        value = cost.evaluate(mv)
-        if value < best.cost:
+def _best(cost: MotionCost, candidates: Sequence[MotionVector],
+          best: Optional[SearchResult] = None) -> SearchResult:
+    """The cheapest of ``best`` and ``candidates``, scored in one
+    ``evaluate`` call; without ``best`` the first candidate seeds it.  Ties
+    keep the earlier vector."""
+    for mv, value in zip(candidates, cost.evaluate(candidates)):
+        if best is None or value < best.cost:
             best = SearchResult(mv, value)
     return best
 
@@ -55,7 +56,7 @@ def _refine_diamond(cost: MotionCost, start: SearchResult,
     """Iterative small-diamond descent until the centre is the minimum."""
     best = start
     for _ in range(max_iterations):
-        improved = _best(cost, (best.mv + step for step in SMALL_DIAMOND), best)
+        improved = _best(cost, [best.mv + step for step in SMALL_DIAMOND], best)
         if improved.mv == best.mv:
             break
         best = improved
@@ -63,15 +64,11 @@ def _refine_diamond(cost: MotionCost, start: SearchResult,
 
 
 def full_search(cost: MotionCost) -> SearchResult:
-    """Exhaustive search of the full +-search_range window."""
+    """Exhaustive search of the full +-search_range window, one row per call."""
     rng = cost.search_range
-    best = SearchResult(ZERO_MV, cost.evaluate(ZERO_MV))
+    best = _best(cost, [ZERO_MV])
     for dy in range(-rng, rng + 1):
-        for dx in range(-rng, rng + 1):
-            mv = MotionVector(dx, dy)
-            value = cost.evaluate(mv)
-            if value < best.cost:
-                best = SearchResult(mv, value)
+        best = _best(cost, [MotionVector(dx, dy) for dx in range(-rng, rng + 1)], best)
     return best
 
 
@@ -84,11 +81,12 @@ def epzs_search(cost: MotionCost,
     is already below an adaptive threshold, otherwise descends with the
     small diamond pattern.
     """
-    candidates: List[MotionVector] = [ZERO_MV, cost.predictor]
+    # The zero vector seeds the search and is its first predictor too, so
+    # it is listed (and counted in ``me.*.points``) twice, scored once.
+    candidates: List[MotionVector] = [ZERO_MV, ZERO_MV, cost.predictor]
     for mv in extra_predictors:
         candidates.append(mv.clamped(cost.search_range))
-    best = SearchResult(ZERO_MV, cost.evaluate(ZERO_MV))
-    best = _best(cost, candidates, best)
+    best = _best(cost, candidates)
     # Early-termination: proportional to block size, as in Tourapis' T1.
     threshold = cost.width * cost.height
     if best.cost < threshold:
@@ -98,13 +96,9 @@ def epzs_search(cost: MotionCost,
 
 def hexagon_search(cost: MotionCost, max_iterations: int = 16) -> SearchResult:
     """Hexagon-based search: large-hexagon descent then small diamond."""
-    start = cost.predictor.clamped(cost.search_range)
-    best = SearchResult(start, cost.evaluate(start))
-    zero = SearchResult(ZERO_MV, cost.evaluate(ZERO_MV))
-    if zero.cost < best.cost:
-        best = zero
+    best = _best(cost, [cost.predictor.clamped(cost.search_range), ZERO_MV])
     for _ in range(max_iterations):
-        improved = _best(cost, (best.mv + step for step in HEXAGON), best)
+        improved = _best(cost, [best.mv + step for step in HEXAGON], best)
         if improved.mv == best.mv:
             break
         best = improved

@@ -5,7 +5,8 @@ quarter-pel (MPEG-4 with ``qpel``, VC-1, H.264) precision around the best
 integer vector — the two-stage refinement of x264's ``--subme`` levels.
 As in x264, a candidate is not interpolated on its own: it is a slice of
 its reference's phase plane (:meth:`repro.mc.pad.PaddedPlane.subpel_block`,
-built by the per-block kernel, so bit-identical to it) plus one ``sad``.
+built by the per-block kernel, so bit-identical to it).  A stage's eight
+neighbours are stacked and scored with one ``sad`` call.
 
 Motion vectors returned here are in *fractional units*: half-pel units for
 MPEG-2 (interp = ``"mc_halfpel"``), quarter-pel for MPEG-4/VC-1/H.264
@@ -50,20 +51,25 @@ def refine_subpel(
     """
     px, py = reference.offset(x, y)
 
-    def evaluate(mv: MotionVector) -> int:
-        block = reference.subpel_block(
-            kernels, interp, unit, px, py, width, height, mv.x, mv.y)
-        return kernels.sad(current, block) + lagrangian * mv_rate_bits(mv, predictor)
+    def costs(mvs):
+        blocks = np.stack([
+            reference.subpel_block(kernels, interp, unit, px, py, width, height, mv.x, mv.y)
+            for mv in mvs
+        ])
+        sads = kernels.sad(current, blocks)
+        return [sad + lagrangian * mv_rate_bits(mv, predictor) for mv, sad in zip(mvs, sads)]
 
     best_mv = integer_result.mv.scaled(unit)
-    best = SearchResult(best_mv, evaluate(best_mv))
+    best = SearchResult(best_mv, costs([best_mv])[0])
 
     step = unit >> 1
     while step >= 1:
+        neighbours = [
+            MotionVector(best.mv.x + dx * step, best.mv.y + dy * step)
+            for dx, dy in _NEIGHBOURS
+        ]
         improved = best
-        for dx, dy in _NEIGHBOURS:
-            mv = MotionVector(best.mv.x + dx * step, best.mv.y + dy * step)
-            cost = evaluate(mv)
+        for mv, cost in zip(neighbours, costs(neighbours)):
             if cost < improved.cost:
                 improved = SearchResult(mv, cost)
         best = improved

@@ -162,7 +162,8 @@ class InstrumentedKernels:
 # ---------------------------------------------------------------------------
 
 class _CountingCost:
-    """Motion-cost proxy counting candidate evaluations."""
+    """Motion-cost proxy counting the candidates passed to ``evaluate``
+    (cache hits included)."""
 
     __slots__ = ("_cost", "points")
 
@@ -170,14 +171,14 @@ class _CountingCost:
         self._cost = cost
         self.points = 0
 
-    def evaluate(self, mv):
-        self.points += 1
-        return self._cost.evaluate(mv)
+    def evaluate(self, mvs):
+        self.points += len(mvs)
+        return self._cost.evaluate(mvs)
 
     def __getattr__(self, name: str):
         return getattr(self._cost, name)
 
 
 def counting_cost(cost: object) -> _CountingCost:
-    """Wrap ``cost`` so each ``evaluate`` call is tallied in ``.points``."""
+    """Wrap ``cost`` so the candidates of each ``evaluate`` call are tallied in ``.points``."""
     return _CountingCost(cost)

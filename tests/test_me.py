@@ -10,7 +10,7 @@ from repro.codecs.frames import WorkingFrame
 from repro.codecs.h264.deblock import DeblockFilter, DeblockMeta
 from repro.kernels import get_kernels
 from repro.mc.pad import PaddedPlane, pad_plane
-from repro.me.cost import MotionCost, lambda_from_qp, mv_rate_bits
+from repro.me.cost import _OUT_OF_RANGE, MotionCost, lambda_from_qp, mv_rate_bits
 from repro.me.search import (
     ALGORITHM_NAMES,
     epzs_search,
@@ -75,28 +75,65 @@ class TestTypes:
 class TestCostModel:
     def test_zero_mv_on_static_scene_is_zero_sad(self):
         cost = make_cost(0, 0)
-        assert cost.evaluate(ZERO_MV) == 0
+        assert cost.evaluate([ZERO_MV]) == [0]
 
     def test_planted_motion_has_zero_sad(self):
         cost = make_cost(3, -2)
-        assert cost.evaluate(MotionVector(3, -2)) == 0
+        assert cost.evaluate([MotionVector(3, -2)]) == [0]
 
     def test_out_of_range_is_prohibitive(self):
         cost = make_cost(0, 0, search_range=4)
-        assert cost.evaluate(MotionVector(5, 0)) > 10 ** 12
+        (value,) = cost.evaluate([MotionVector(5, 0)])
+        assert value > 10 ** 12
 
     def test_rate_term_penalises_long_vectors(self):
         cost = make_cost(0, 0, lagrangian=10)
-        assert cost.evaluate(MotionVector(4, 4)) >= 10 * mv_rate_bits(
-            MotionVector(4, 4), ZERO_MV
-        )
+        (value,) = cost.evaluate([MotionVector(4, 4)])
+        assert value >= 10 * mv_rate_bits(MotionVector(4, 4), ZERO_MV)
 
     def test_cache_counts_distinct_candidates(self):
         cost = make_cost(0, 0)
-        cost.evaluate(ZERO_MV)
-        cost.evaluate(ZERO_MV)
-        cost.evaluate(MotionVector(1, 0))
+        cost.evaluate([ZERO_MV])
+        cost.evaluate([ZERO_MV])
+        cost.evaluate([MotionVector(1, 0)])
         assert cost.evaluations == 2
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 20),
+           st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=12),
+           st.sampled_from(((16, 16), (16, 8), (8, 16), (8, 8))))
+    @settings(max_examples=60, deadline=None)
+    def test_evaluate_matches_per_block_cost(self, seed, lagrangian, vectors, size):
+        """Each cost is ``sad`` against ``get_block`` plus the rate term, or
+        the out-of-range cost; each distinct vector is scored once."""
+        search_range = 4  # the drawn vectors reach 6: some are out of range
+        reference = textured_plane(32, seed)
+        width, height = size
+        x, y = 8, 8
+        mvs = [MotionVector(*vector) for vector in vectors]
+        mvs += mvs[: len(mvs) // 2]  # duplicates within one call
+        predictor = MotionVector(1, -1)
+        for backend in ("scalar", "simd"):
+            kernels = get_kernels(backend)
+            padded = pad_plane(reference, search_range)
+            current = reference[y : y + height, x : x + width] ^ 5
+            cost = MotionCost(
+                kernels=kernels, current=current, reference=padded,
+                x=x, y=y, width=width, height=height,
+                predictor=predictor, lagrangian=lagrangian, search_range=search_range,
+            )
+            px, py = padded.offset(x, y)
+            expected = []
+            for mv in mvs:
+                if abs(mv.x) > search_range or abs(mv.y) > search_range:
+                    expected.append(_OUT_OF_RANGE)
+                    continue
+                block = kernels.get_block(padded.plane, px + mv.x, py + mv.y, width, height)
+                expected.append(kernels.sad(current, block)
+                                + lagrangian * mv_rate_bits(mv, predictor))
+            assert cost.evaluate(mvs) == expected
+            assert cost.evaluations == len(set(mvs))
+            assert cost.evaluate(mvs[::-1]) == expected[::-1]  # cached
+            assert cost.evaluations == len(set(mvs))
 
     def test_lambda_grows_with_qp(self):
         values = [lambda_from_qp(qp) for qp in (10, 26, 40)]
@@ -299,7 +336,7 @@ class TestSubpelReference:
 
 class TestPhasePlanes:
     @pytest.mark.parametrize("interp,unit", INTERP_UNITS)
-    def test_one_build_per_phase_and_one_sad_per_candidate(self, interp, unit):
+    def test_one_build_per_phase_and_one_sad_per_stage(self, interp, unit):
         reference = textured_plane(seed=5)
         source = np.roll(reference, (1, 2), axis=(0, 1)) + 3
         padded = pad_plane(reference, 8)
@@ -321,8 +358,10 @@ class TestPhasePlanes:
         stats = counting.profile.kernels
         assert 1 <= stats[interp].calls <= unit * unit
         assert sum(stats[name].calls for name, _ in INTERP_UNITS) == stats[interp].calls
+        # One call for the start and one stacked call per stage's 8 neighbours.
         stages = unit.bit_length() - 1
-        assert stats["sad"].calls == refinements * (1 + 8 * stages)
+        assert stats["sad"].calls == refinements * (1 + stages)
+        assert stats["sad"].samples == refinements * (1 + 8 * stages) * 16 * 16
 
     def test_keyed_by_kernel_name_not_function_name(self):
         counting = CountingKernels("simd")
