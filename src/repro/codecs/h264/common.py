@@ -37,6 +37,13 @@ def blocks_to_square(blocks: np.ndarray) -> np.ndarray:
     return blocks.reshape(side, side, 4, 4).swapaxes(1, 2).reshape(4 * side, 4 * side)
 
 
+def square_to_blocks(square: np.ndarray) -> np.ndarray:
+    """A ``4n x 4n`` array as the raster-ordered ``(n * n, 4, 4)`` stack of its
+    4x4 blocks: the inverse of :func:`blocks_to_square`."""
+    side = len(square) // 4
+    return square.reshape(side, 4, side, 4).swapaxes(1, 2).reshape(side * side, 4, 4)
+
+
 def luma_quadrant(block_index: int) -> int:
     """8x8 quadrant (0..3) of the 4x4 luma block ``block_index``."""
     row = block_index // 4
@@ -202,11 +209,12 @@ class MacroblockLayer:
 
     def reconstruct_i16(self, mbx: int, mby: int, prediction: np.ndarray,
                         dc_levels: np.ndarray,
-                        ac_levels: Optional[List[np.ndarray]]) -> None:
-        """Rebuild Intra16x16 luma from its DC levels and, if it has AC, its 16 AC blocks."""
+                        ac_levels: Optional[Sequence[np.ndarray]]) -> None:
+        """Rebuild Intra16x16 luma from its DC levels and, if it has AC, the
+        stack of its 16 AC blocks (an array or a sequence of blocks)."""
         kernels = self.kernels
         if ac_levels is not None:
-            coeffs = kernels.dequant_h264_4x4(np.stack(ac_levels), self.qp)
+            coeffs = kernels.dequant_h264_4x4(np.asarray(ac_levels), self.qp)
         else:
             coeffs = np.zeros((16, 4, 4), dtype=np.int64)
         coeffs[:, 0, 0] = kernels.dequant_h264_dc4(dc_levels, self.qp).ravel()
@@ -215,18 +223,18 @@ class MacroblockLayer:
 
     def reconstruct_chroma(self, mbx: int, mby: int, prediction: Dict[str, np.ndarray],
                            cbp: int, dc_levels: Dict[str, np.ndarray],
-                           ac_levels: Dict[str, List[np.ndarray]]) -> None:
+                           ac_levels: Dict[str, Sequence[np.ndarray]]) -> None:
         """Rebuild both chroma planes; ``cbp`` 0 stores the prediction as is.
 
         ``dc_levels`` holds each plane's 2x2 DC levels when ``cbp`` >= 1,
-        ``ac_levels`` its four AC blocks when ``cbp`` is 2.
+        ``ac_levels`` the stack of its four AC blocks when ``cbp`` is 2.
         """
         kernels = self.kernels
         for plane in ("u", "v"):
             pixels = prediction[plane]
             if cbp:
                 if cbp == 2:
-                    coeffs = kernels.dequant_h264_4x4(np.stack(ac_levels[plane]), self.qp)
+                    coeffs = kernels.dequant_h264_4x4(np.asarray(ac_levels[plane]), self.qp)
                 else:
                     coeffs = np.zeros((4, 4, 4), dtype=np.int64)
                 coeffs[:, 0, 0] = kernels.dequant_h264_dc2(dc_levels[plane], self.qp).ravel()

@@ -47,7 +47,7 @@ class _ChromaPrep:
 
     cbp: int  # 0 = none, 1 = DC only, 2 = DC + AC
     dc_levels: Dict[str, np.ndarray] = field(default_factory=dict)
-    ac_levels: Dict[str, List[np.ndarray]] = field(default_factory=dict)
+    ac_levels: Dict[str, np.ndarray] = field(default_factory=dict)  # (4, 4, 4) per plane
 
 
 class H264Encoder(VideoEncoder):
@@ -242,17 +242,12 @@ class H264Encoder(VideoEncoder):
         write_ue(writer, intra.BLOCK_MODES.index(mode))
         prediction = intra.predict_block(layer.recon.y, x0, y0, 16, mode)
         residual = kernels.sub(source.y[y0 : y0 + 16, x0 : x0 + 16], prediction)
-
-        dc = np.zeros((4, 4), dtype=np.int64)
-        ac_levels: List[np.ndarray] = []
-        for block_index, (off_x, off_y) in enumerate(common.LUMA_OFFSETS):
-            coeffs = kernels.fwd_transform4(residual[off_y : off_y + 4, off_x : off_x + 4])
-            dc[off_y // 4, off_x // 4] = coeffs[0, 0]
-            levels = kernels.quant_h264_4x4(coeffs, qp, intra=True)
-            levels[0, 0] = 0
-            ac_levels.append(levels)
+        coeffs = kernels.fwd_transform4(common.square_to_blocks(residual))
+        ac_levels = kernels.quant_h264_4x4(coeffs, qp, intra=True)
+        ac_levels[:, 0, 0] = 0
+        dc = coeffs[:, 0, 0].reshape(4, 4)
         dc_levels = kernels.quant_h264_dc4(kernels.hadamard4_forward(dc), qp, intra=True)
-        has_ac = any(np.any(levels) for levels in ac_levels)
+        has_ac = bool(ac_levels.any())
         writer.write_bit(1 if has_ac else 0)
 
         nc_dc = layer.tc_luma.nc(4 * mbx, 4 * mby)
@@ -300,25 +295,17 @@ class H264Encoder(VideoEncoder):
         any_dc = False
         any_ac = False
         for plane in ("u", "v"):
-            dc = np.zeros((2, 2), dtype=np.int64)
-            plane_levels: List[np.ndarray] = []
-            for block_index, (off_x, off_y) in enumerate(common.CHROMA_OFFSETS):
-                current = source.plane(plane)[
-                    y0 + off_y : y0 + off_y + 4, x0 + off_x : x0 + off_x + 4
-                ]
-                residual = kernels.sub(current, prediction[plane][off_y : off_y + 4, off_x : off_x + 4])
-                coeffs = kernels.fwd_transform4(residual)
-                dc[off_y // 4, off_x // 4] = coeffs[0, 0]
-                levels = kernels.quant_h264_4x4(coeffs, qp, intra_mb)
-                levels[0, 0] = 0
-                plane_levels.append(levels)
-                if np.any(levels):
-                    any_ac = True
+            current = source.plane(plane)[y0 : y0 + 8, x0 : x0 + 8]
+            residual = kernels.sub(current, prediction[plane])
+            coeffs = kernels.fwd_transform4(common.square_to_blocks(residual))
+            levels = kernels.quant_h264_4x4(coeffs, qp, intra_mb)
+            levels[:, 0, 0] = 0
+            dc = coeffs[:, 0, 0].reshape(2, 2)
             dc_levels = kernels.quant_h264_dc2(kernels.hadamard2(dc), qp, intra_mb)
-            if np.any(dc_levels):
-                any_dc = True
+            any_ac = any_ac or bool(levels.any())
+            any_dc = any_dc or bool(dc_levels.any())
             prep.dc_levels[plane] = dc_levels
-            prep.ac_levels[plane] = plane_levels
+            prep.ac_levels[plane] = levels
         prep.cbp = 2 if any_ac else (1 if any_dc else 0)
         return prep
 
@@ -394,22 +381,20 @@ class H264Encoder(VideoEncoder):
 
     def _prepare_luma_residual(
         self, source: WorkingFrame, prediction: np.ndarray, mbx: int, mby: int,
-    ) -> Tuple[int, List[np.ndarray]]:
+    ) -> Tuple[int, np.ndarray]:
+        """The coded block pattern and the ``(16, 4, 4)`` stack of luma levels."""
         kernels = self.kernels
-        qp = self.config.qp
         x0, y0 = 16 * mbx, 16 * mby
-        blocks: List[np.ndarray] = []
+        residual = kernels.sub(source.y[y0 : y0 + 16, x0 : x0 + 16], prediction)
+        blocks = kernels.quant_h264_4x4(
+            kernels.fwd_transform4(common.square_to_blocks(residual)), self.config.qp, intra=False
+        )
         cbp = 0
-        for block_index, (off_x, off_y) in enumerate(common.LUMA_OFFSETS):
-            current = source.y[y0 + off_y : y0 + off_y + 4, x0 + off_x : x0 + off_x + 4]
-            residual = kernels.sub(current, prediction[off_y : off_y + 4, off_x : off_x + 4])
-            levels = kernels.quant_h264_4x4(kernels.fwd_transform4(residual), qp, intra=False)
-            blocks.append(levels)
-            if np.any(levels):
-                cbp |= 1 << common.luma_quadrant(block_index)
+        for block_index in np.flatnonzero(blocks.any(axis=(1, 2))).tolist():
+            cbp |= 1 << common.luma_quadrant(block_index)
         return cbp, blocks
 
-    def _code_luma_residual(self, writer: BitWriter, cbp: int, blocks: List[np.ndarray],
+    def _code_luma_residual(self, writer: BitWriter, cbp: int, blocks: np.ndarray,
                             prediction: np.ndarray, mbx: int, mby: int) -> None:
         """Write an inter macroblock's luma residual, then reconstruct its luma."""
         layer = self._layer
