@@ -48,7 +48,7 @@ class PaddedPlane:
     width: int
     height: int
     _windows: Dict[Tuple[int, int], np.ndarray] = field(
-        default_factory=dict, repr=False)
+        default_factory=dict, repr=False, init=False)
     _phases: Dict[Tuple[str, int, int], np.ndarray] = field(
         default_factory=dict, repr=False)
 
