@@ -64,7 +64,11 @@ def _refine_diamond(cost: MotionCost, start: SearchResult,
 
 
 def full_search(cost: MotionCost) -> SearchResult:
-    """Exhaustive search of the full +-search_range window, one row per call."""
+    """Exhaustive search of the full +-search_range window.
+
+    Scored one window row per ``evaluate`` call, so a stack holds
+    ``2 * search_range + 1`` blocks however large the range.
+    """
     rng = cost.search_range
     best = _best(cost, [ZERO_MV])
     for dy in range(-rng, rng + 1):
