@@ -20,9 +20,17 @@ from hypothesis import given, strategies as st
 
 from repro.codecs.h264.cavlc import _ESCAPE_BITS, _ESCAPE_PREFIX, _read_rice, _write_rice
 from repro.codecs.huffman import LOOKUP_BITS, VlcTable, canonical_codes
+from repro.codecs.mpeg2 import Mpeg2Config, Mpeg2Decoder, Mpeg2Encoder
+from repro.codecs.mpeg2 import tables as mpeg2_tables
+from repro.codecs.mpeg4 import Mpeg4Config, Mpeg4Decoder, Mpeg4Encoder
+from repro.codecs.mpeg4 import tables as mpeg4_tables
+from repro.codecs.vc1 import Vc1Config, Vc1Decoder, Vc1Encoder
+from repro.codecs.vc1 import tables as vc1_tables
+from repro.codecs.vc1.transform import TransformedBlock
 from repro.common.bitstream import UNARY_WINDOW, BitReader, BitWriter
 from repro.common.expgolomb import read_se, read_ue, write_se, write_ue
 from repro.errors import BitstreamError, TruncationError
+from repro.transform.zigzag import unscan4, unscan8
 
 
 # -- bit-serial references -----------------------------------------------------
@@ -68,6 +76,12 @@ class SerialReader:
         shift = 8 * (end_byte - start_byte) - (end - 8 * start_byte)
         self._pos = end
         return (chunk >> shift) & ((1 << count) - 1)
+
+    def read_signed(self, count):
+        raw = self.read_bits(count)
+        if raw >= 1 << (count - 1):
+            raw -= 1 << count
+        return raw
 
     def peek_bits(self, count):
         saved = self._pos
@@ -150,6 +164,52 @@ def serial_vlc_read(table, reader):
         if symbol is not None:
             return symbol
     raise BitstreamError(f"{table.name}: invalid code in bitstream")
+
+
+def serial_run_level(tables, reader, size, start=0):
+    """A block of (run, level) events ended by EOB (MPEG-2, VC-1), in scan order."""
+    scanned = [0] * size
+    position = start
+    while True:
+        symbol = serial_vlc_read(tables.COEFF_TABLE, reader)
+        if symbol == tables.EOB:
+            return scanned
+        if symbol == tables.ESCAPE:
+            run = reader.read_bits(tables.ESCAPE_RUN_BITS)
+            level = reader.read_signed(tables.ESCAPE_LEVEL_BITS)
+        else:
+            run, level = symbol
+            if reader.read_bit():
+                level = -level
+        position += run
+        if position >= size:
+            raise BitstreamError("run/level event past end of block")
+        scanned[position] = level
+        position += 1
+
+
+def serial_3d(reader, size, start=0):
+    """A block of (last, run, level) events (MPEG-4), in scan order."""
+    tables = mpeg4_tables
+    scanned = [0] * size
+    position = start
+    while True:
+        symbol = serial_vlc_read(tables.COEFF3D_TABLE, reader)
+        if symbol == tables.ESCAPE:
+            last = reader.read_bit()
+            run = reader.read_bits(tables.ESCAPE_RUN_BITS)
+            level = reader.read_signed(tables.ESCAPE_LEVEL_BITS)
+        else:
+            last, run, level = symbol
+            if reader.read_bit():
+                level = -level
+        position += run
+        if position >= size:
+            raise BitstreamError("(last, run, level) event past end of block")
+        scanned[position] = level
+        position += 1
+        if last:
+            return scanned
 
 
 def serial_read_ue(reader):
@@ -404,3 +464,103 @@ def test_writer_matches_serial(ops):
         assert outcomes[0] == outcomes[1], (name, args)
         assert len(writer) == len(serial)
     assert writer.to_bytes() == serial.to_bytes()
+
+
+# -- coefficient blocks ----------------------------------------------------------
+#
+# Each hybrid decoder's ``_read_block`` against a bit-serial walk of the same
+# block, unscanned to raster order.  The blocks are written by the codec's
+# own encoder with random levels: sparse blocks give runs past ``MAX_RUN``,
+# and levels up to the escape field's range pass ``MAX_LEVEL``, so escapes
+# occur.
+
+
+def read_mpeg2_block(reader):
+    return unscan8(serial_run_level(mpeg2_tables, reader, 64)).tolist()
+
+
+def read_mpeg4_block(reader):
+    return unscan8(serial_3d(reader, 64)).tolist()
+
+
+def read_vc1_block(adaptive):
+    def read(reader):
+        size = reader.read_bit() if adaptive else vc1_tables.TRANSFORM_8X8
+        if size == vc1_tables.TRANSFORM_8X8:
+            return size, unscan8(serial_run_level(vc1_tables, reader, 64)).tolist(), None
+        return size, None, [unscan4(serial_run_level(vc1_tables, reader, 16)).tolist()
+                            for _ in vc1_tables.SUBBLOCK_OFFSETS]
+    return read
+
+
+def as_lists(block):
+    """A decoded block as nested lists (``TransformedBlock`` fields for VC-1)."""
+    if isinstance(block, TransformedBlock):
+        return (block.size,
+                None if block.levels8 is None else block.levels8.tolist(),
+                None if block.levels4 is None else [levels.tolist() for levels in block.levels4])
+    return block.tolist()
+
+
+#: Levels of one coefficient: mostly small, some past ``MAX_LEVEL`` up to the
+#: 12-bit escape field's range.
+LEVELS = st.one_of(st.integers(-4, 4), st.integers(-2048, 2047))
+
+
+def random_levels(draw, size):
+    """A raster-order ``size`` x ``size`` block with a random few non-zero levels."""
+    block = np.zeros(size * size, dtype=np.int64)
+    placed = draw(st.dictionaries(st.integers(0, size * size - 1), LEVELS,
+                                  max_size=size * size // 2))
+    for index, value in placed.items():
+        block[index] = value
+    return block.reshape(size, size)
+
+
+def random_transformed(draw, adaptive):
+    if adaptive and draw(st.booleans()):
+        return TransformedBlock(vc1_tables.TRANSFORM_4X4,
+                                levels4=[random_levels(draw, 4) for _ in range(4)])
+    return TransformedBlock(vc1_tables.TRANSFORM_8X8, levels8=random_levels(draw, 8))
+
+
+def blocks_written(encoder, draw_block):
+    """``encoder._write_block``'s bytes for up to four random blocks."""
+    def encode(draw):
+        writer = SerialWriter()
+        for _ in range(draw(st.integers(1, 4))):
+            encoder._write_block(writer, draw_block(draw))
+        return writer.to_bytes()
+    return encode
+
+
+def vc1_codec(adaptive):
+    decoder = Vc1Decoder()
+    decoder._adaptive = adaptive
+    encoder = Vc1Encoder(Vc1Config(width=16, height=16, adaptive_transform=adaptive))
+    return (decoder, encoder, lambda draw: random_transformed(draw, adaptive),
+            read_vc1_block(adaptive))
+
+
+#: name -> (decoder, encoder, random block, bit-serial block read).
+BLOCK_CODECS = {
+    "mpeg2": (Mpeg2Decoder(), Mpeg2Encoder(Mpeg2Config(width=16, height=16)),
+              lambda draw: random_levels(draw, 8), read_mpeg2_block),
+    "mpeg4": (Mpeg4Decoder(), Mpeg4Encoder(Mpeg4Config(width=16, height=16)),
+              lambda draw: random_levels(draw, 8), read_mpeg4_block),
+    "vc1-8x8": vc1_codec(False),
+    "vc1-adaptive": vc1_codec(True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CODECS))
+@given(st.data())
+def test_block_reads_match_serial(name, draw):
+    decoder, encoder, draw_block, reference = BLOCK_CODECS[name]
+    data, offset = draw.draw(coded_data(blocks_written(encoder, draw_block)))
+    assert_same_reads(data, offset, lambda r: as_lists(decoder._read_block(r)), reference)
+
+
+def test_block_levels_reach_the_escapes():
+    for tables in (mpeg2_tables, mpeg4_tables, vc1_tables):
+        assert tables.MAX_RUN < 63 and tables.MAX_LEVEL < 2047
