@@ -11,10 +11,10 @@ fully deterministic, so encoder and decoder always agree.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Hashable, List, Mapping, Optional, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.bitstream import BitReader, BitWriter
-from repro.errors import BitstreamError, ConfigError
+from repro.errors import BitstreamError, ConfigError, TruncationError
 
 Symbol = Hashable
 Code = Tuple[int, int]  # (value, length)
@@ -151,6 +151,157 @@ class VlcTable:
                 return symbol
         reader.skip_bits(self.max_length)
         raise BitstreamError(f"{self.name}: invalid code in bitstream")
+
+
+#: A decided coefficient event: (run, signed level, bits, last).  End of block
+#: is ``(-1, 0, bits, 1)``.
+Event = Tuple[int, int, int, int]
+
+
+class RunLevelCode:
+    """The coefficient events of one codec's blocks, and their block reader.
+
+    ``table`` codes (run, level) events ended by the ``eob`` symbol (MPEG-2,
+    VC-1), or, when ``eob`` is ``None``, (last, run, level) events (MPEG-4).
+    Each non-escape code is followed by the level's sign bit.  The
+    ``escape`` symbol is followed by the last bit (3-D codes only), a
+    ``run_bits`` run and a ``level_bits`` two's-complement level.
+
+    :meth:`read_block` decides most events from one table of
+    ``1 << LOOKUP_BITS`` entries that folds the sign bit into the code: an
+    entry is the event whose code and sign begin the window (docs/BITSTREAM.md,
+    "Coefficient blocks").
+    """
+
+    def __init__(self, table: VlcTable, escape: Symbol, run_bits: int, level_bits: int,
+                 max_run: int, max_level: int, eob: Optional[Symbol] = None) -> None:
+        self.table = table
+        self.escape = escape
+        self.eob = eob
+        self.run_bits = run_bits
+        self.level_bits = level_bits
+        self.max_run = max_run
+        self.max_level = max_level
+        self._events: List[Optional[Event]] = [None] * (1 << LOOKUP_BITS)
+        for symbol, (value, length) in table._encode.items():
+            if symbol == eob:
+                self._fill(value, length, (-1, 0, length, 1))
+            elif symbol != escape:
+                last, run, level = symbol if eob is None else (0, *symbol)
+                self._fill(value << 1, length + 1, (run, level, length + 1, last))
+                self._fill(value << 1 | 1, length + 1, (run, -level, length + 1, last))
+
+    def _fill(self, value: int, length: int, event: Event) -> None:
+        if length <= LOOKUP_BITS:
+            spread = LOOKUP_BITS - length
+            start, stop = value << spread, (value + 1) << spread
+            self._events[start:stop] = [event] * (stop - start)
+
+    def _read_event(self, reader: BitReader) -> Event:
+        """One event the table does not decide, read code by code and field by
+        field; the reader is past it, so the event takes no further bits."""
+        symbol = self.table.read(reader)
+        if symbol == self.eob:
+            return (-1, 0, 0, 1)
+        if symbol == self.escape:
+            last = reader.read_bit() if self.eob is None else 0
+            run = reader.read_bits(self.run_bits)
+            return (run, reader.read_signed(self.level_bits), 0, last)
+        last, run, level = symbol if self.eob is None else (0, *symbol)
+        return (run, -level if reader.read_bit() else level, 0, last)
+
+    def read_block(self, reader: BitReader, raster: Sequence[int], start: int = 0) -> List[int]:
+        """Read one block coded from scan position ``start``; return its levels
+        in raster order.
+
+        ``raster[i]`` is the raster index of scan position ``i``, and
+        ``len(raster)`` the block's size.  The reader's position, its data and
+        a 64-bit window over the data are held in local variables, the way
+        FFmpeg's ``GET_RL_VLC`` holds them, and the position is written back
+        before every return and raise.  A code, or its sign, cut off by the
+        end of the data stops the reader at the end, and a run past the
+        block raises after its event: where a bit-by-bit read stops.
+        """
+        size = len(raster)
+        block = [0] * size
+        position = start
+        events = self._events
+        mask = len(events) - 1
+        data = reader._data
+        pos = reader._pos
+        end = reader._end
+        # The window holds the 8 bytes from byte ``pos >> 3``, zero-filled past
+        # the end, and decides LOOKUP_BITS bits while pos <= limit.
+        limit = -1
+        window = 0
+        while True:
+            if pos > limit:
+                first = pos >> 3
+                chunk = data[first:first + 8]
+                window = int.from_bytes(chunk, "big") << ((8 - len(chunk)) << 3)
+                limit = (first << 3) + 64 - LOOKUP_BITS
+            event = events[(window >> (limit - pos)) & mask]
+            if event is None:
+                reader._pos = pos
+                event = self._read_event(reader)
+                pos = reader._pos
+            run, level, length, last = event
+            pos += length
+            if pos > end:
+                reader._pos = end
+                raise TruncationError("coefficient code past end of bitstream")
+            if last and run < 0:
+                reader._pos = pos
+                return block
+            position += run
+            if position >= size:
+                reader._pos = pos
+                raise BitstreamError("run/level event past end of block")
+            block[raster[position]] = level
+            position += 1
+            if last:
+                reader._pos = pos
+                return block
+
+
+def encode_run_level(writer: BitWriter, code: RunLevelCode, scanned: Sequence[int],
+                     start: int = 0) -> None:
+    """Code ``scanned[start:]`` as (run, level) events of ``code``, then its EOB
+    (the MPEG-2 and VC-1 block coder)."""
+    table = code.table
+    run = 0
+    for value in scanned[start:]:
+        if value == 0:
+            run += 1
+            continue
+        magnitude = abs(value)
+        if run <= code.max_run and magnitude <= code.max_level:
+            table.write(writer, (run, magnitude))
+            writer.write_bit(1 if value < 0 else 0)
+        else:
+            table.write(writer, code.escape)
+            writer.write_bits(run, code.run_bits)
+            writer.write_signed(value, code.level_bits)
+        run = 0
+    table.write(writer, code.eob)
+
+
+def run_level_bits(code: RunLevelCode, scanned: Sequence[int], start: int = 0) -> int:
+    """Bits :func:`encode_run_level` writes for ``scanned[start:]``."""
+    table = code.table
+    bits = 0
+    run = 0
+    for value in scanned[start:]:
+        if value == 0:
+            run += 1
+            continue
+        magnitude = abs(value)
+        if run <= code.max_run and magnitude <= code.max_level:
+            bits += table.bits((run, magnitude)) + 1
+        else:
+            bits += table.bits(code.escape) + code.run_bits + code.level_bits
+        run = 0
+    return bits + table.bits(code.eob)
 
 
 def geometric(probability: float, value: int) -> float:

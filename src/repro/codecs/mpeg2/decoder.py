@@ -13,12 +13,11 @@ import numpy as np
 from repro.codecs.frames import PLANE_NAMES, WorkingFrame
 from repro.codecs.hybrid import BLOCK_LAYOUT, HybridDecoder, intra_block
 from repro.codecs.mpeg2 import tables
-from repro.codecs.mpeg2.coefficients import decode_run_level
 from repro.common.bitstream import BitReader
 from repro.common.expgolomb import read_se
 from repro.common.gop import FrameType
 from repro.kernels.tables import MPEG_INTER_MATRIX, MPEG_INTRA_MATRIX
-from repro.transform.zigzag import unscan8
+from repro.transform.zigzag import ZIGZAG_8X8
 
 
 class Mpeg2Decoder(HybridDecoder):
@@ -41,14 +40,15 @@ class Mpeg2Decoder(HybridDecoder):
             x, y = mbx * size + off_x, mby * size + off_y
             dc = self._dc_pred[plane] + read_se(reader)
             self._dc_pred[plane] = dc
-            scanned = decode_run_level(reader, 64, start=1)
-            scanned[0] = dc
-            levels = unscan8(scanned)
+            block = tables.COEFF_CODE.read_block(reader, ZIGZAG_8X8.raster, start=1)
+            block[0] = dc
+            levels = np.array(block, dtype=np.int64).reshape(8, 8)
             coeffs = kernels.dequant_mpeg(levels, MPEG_INTRA_MATRIX, self._qscale, intra=True)
             recon.store_block(plane, x, y, intra_block(kernels, coeffs))
 
     def _read_block(self, reader: BitReader) -> np.ndarray:
-        return unscan8(decode_run_level(reader, 64, start=0))
+        block = tables.COEFF_CODE.read_block(reader, ZIGZAG_8X8.raster)
+        return np.array(block, dtype=np.int64).reshape(8, 8)
 
     def _dequantise_inter(self, levels: np.ndarray) -> np.ndarray:
         kernels = self.kernels

@@ -15,9 +15,9 @@ from typing import List, Optional
 import numpy as np
 
 from repro.codecs.frames import PLANE_NAMES, WorkingFrame
+from repro.codecs.huffman import encode_run_level
 from repro.codecs.hybrid import BLOCK_LAYOUT, HybridEncoder, int_mv, intra_block
 from repro.codecs.mpeg2 import tables
-from repro.codecs.mpeg2.coefficients import encode_run_level
 from repro.common.bitstream import BitWriter
 from repro.common.expgolomb import write_se
 from repro.common.gop import FrameType
@@ -60,7 +60,7 @@ class Mpeg2Encoder(HybridEncoder):
             dc = int(levels[0, 0])
             write_se(writer, dc - self._dc_pred[plane])
             self._dc_pred[plane] = dc
-            encode_run_level(writer, scan8(levels), start=1)
+            encode_run_level(writer, tables.COEFF_CODE, scan8(levels), start=1)
             if recon is not None:
                 rebuilt = kernels.dequant_mpeg(levels, MPEG_INTRA_MATRIX, qscale, intra=True)
                 recon.store_block(plane, x, y, intra_block(kernels, rebuilt))
@@ -101,4 +101,4 @@ class Mpeg2Encoder(HybridEncoder):
         return kernels.idct8(coeffs)
 
     def _write_block(self, writer: BitWriter, levels: np.ndarray) -> None:
-        encode_run_level(writer, scan8(levels), start=0)
+        encode_run_level(writer, tables.COEFF_CODE, scan8(levels), start=0)

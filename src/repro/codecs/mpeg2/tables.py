@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.codecs.huffman import VlcTable, geometric
+from repro.codecs.huffman import RunLevelCode, VlcTable, geometric
 
 #: Sentinel symbols.
 EOB = "EOB"
@@ -37,6 +37,8 @@ def _coefficient_frequencies() -> Dict[object, float]:
 
 
 COEFF_TABLE = VlcTable.from_frequencies(_coefficient_frequencies(), name="mpeg2-coeff")
+COEFF_CODE = RunLevelCode(COEFF_TABLE, ESCAPE, ESCAPE_RUN_BITS, ESCAPE_LEVEL_BITS,
+                          MAX_RUN, MAX_LEVEL, eob=EOB)
 
 
 def _cbp_frequencies() -> Dict[int, float]:

@@ -39,7 +39,7 @@ from repro.common.bitstream import BitReader, BitWriter
 from repro.common.expgolomb import read_se, write_se
 from repro.common.gop import FrameType
 from repro.me.types import MotionVector
-from repro.transform.zigzag import scan8, unscan8
+from repro.transform.zigzag import scan8
 
 VERTICAL = "vertical"
 HORIZONTAL = "horizontal"
@@ -190,7 +190,8 @@ class AcDcDecoder(HybridDecoder):
 
     @abc.abstractmethod
     def _read_intra_ac(self, reader: BitReader) -> List[int]:
-        """Parse one intra block's AC levels into 64 scan positions."""
+        """Parse one intra block's AC levels into its 64 raster positions
+        (the DC position stays zero)."""
 
     def _decode_intra_mb(self, reader: BitReader, recon: WorkingFrame,
                          mbx: int, mby: int) -> None:
@@ -203,10 +204,9 @@ class AcDcDecoder(HybridDecoder):
             direction, pred_dc, pred_ac = predict(self._acdc[plane], bx, by)
             dc = pred_dc + read_se(reader)
             if cbp & cbp_bit(block_index):
-                scanned = self._read_intra_ac(reader)
+                levels = np.array(self._read_intra_ac(reader), dtype=np.int64).reshape(8, 8)
             else:
-                scanned = [0] * 64
-            levels = unscan8(scanned)
+                levels = np.zeros((8, 8), dtype=np.int64)
             if use_prediction:
                 levels = apply_ac_prediction(levels, direction, pred_ac, +1)
             levels[0, 0] = dc

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 from repro.codecs.mpeg4 import tables
-from repro.common.bitstream import BitReader, BitWriter
-from repro.errors import BitstreamError
+from repro.common.bitstream import BitWriter
 
 
 def encode_3d(writer: BitWriter, scanned: Sequence[int], start: int = 0) -> bool:
@@ -37,29 +36,6 @@ def encode_3d(writer: BitWriter, scanned: Sequence[int], start: int = 0) -> bool
             writer.write_bits(run, tables.ESCAPE_RUN_BITS)
             writer.write_signed(value, tables.ESCAPE_LEVEL_BITS)
     return True
-
-
-def decode_3d(reader: BitReader, size: int, start: int = 0) -> List[int]:
-    """Decode one block of ``size`` scan positions coded from ``start``."""
-    scanned = [0] * size
-    position = start
-    while True:
-        symbol = tables.COEFF3D_TABLE.read(reader)
-        if symbol == tables.ESCAPE:
-            last = reader.read_bit()
-            run = reader.read_bits(tables.ESCAPE_RUN_BITS)
-            level = reader.read_signed(tables.ESCAPE_LEVEL_BITS)
-        else:
-            last, run, level = symbol
-            if reader.read_bit():
-                level = -level
-        position += run
-        if position >= size:
-            raise BitstreamError("(last, run, level) event past end of block")
-        scanned[position] = level
-        position += 1
-        if last:
-            return scanned
 
 
 def estimate_3d_bits(scanned: Sequence[int], start: int = 0) -> int:

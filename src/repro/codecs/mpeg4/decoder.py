@@ -10,10 +10,9 @@ from repro.codecs.frames import WorkingFrame
 from repro.codecs.hybrid import reconstruct_inter
 from repro.codecs.mpeg4 import tables
 from repro.codecs.mpeg4.acdc import AcDcDecoder
-from repro.codecs.mpeg4.coefficients import decode_3d
 from repro.codecs.mpeg4.prediction import predict_mb_4mv
 from repro.common.bitstream import BitReader
-from repro.transform.zigzag import unscan8
+from repro.transform.zigzag import ZIGZAG_8X8
 
 
 class Mpeg4Decoder(AcDcDecoder):
@@ -27,10 +26,11 @@ class Mpeg4Decoder(AcDcDecoder):
         reader.read_bit()  # four_mv capability flag (informational)
 
     def _read_intra_ac(self, reader: BitReader) -> List[int]:
-        return decode_3d(reader, 64, start=1)
+        return tables.COEFF3D_CODE.read_block(reader, ZIGZAG_8X8.raster, start=1)
 
     def _read_block(self, reader: BitReader) -> np.ndarray:
-        return unscan8(decode_3d(reader, 64, start=0))
+        block = tables.COEFF3D_CODE.read_block(reader, ZIGZAG_8X8.raster)
+        return np.array(block, dtype=np.int64).reshape(8, 8)
 
     def _dequantise_inter(self, levels: np.ndarray) -> np.ndarray:
         kernels = self.kernels

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.codecs.huffman import VlcTable, geometric
+from repro.codecs.huffman import RunLevelCode, VlcTable, geometric
 
 ESCAPE = "ESC"
 
@@ -34,6 +34,8 @@ def _coefficient_frequencies() -> Dict[object, float]:
 
 
 COEFF3D_TABLE = VlcTable.from_frequencies(_coefficient_frequencies(), name="mpeg4-coeff")
+COEFF3D_CODE = RunLevelCode(COEFF3D_TABLE, ESCAPE, ESCAPE_RUN_BITS, ESCAPE_LEVEL_BITS,
+                            MAX_RUN, MAX_LEVEL)
 
 
 def _cbp_frequencies() -> Dict[int, float]:

@@ -8,11 +8,10 @@ import numpy as np
 
 from repro.codecs.mpeg4.acdc import AcDcDecoder
 from repro.codecs.vc1 import tables
-from repro.codecs.vc1.coefficients import decode_run_level
 from repro.codecs.vc1.transform import TransformedBlock, inverse_adaptive
 from repro.common.bitstream import BitReader
 from repro.transform.qp import h264_qp_from_mpeg
-from repro.transform.zigzag import unscan4, unscan8
+from repro.transform.zigzag import ZIGZAG_4X4, ZIGZAG_8X8
 
 
 class Vc1Decoder(AcDcDecoder):
@@ -27,14 +26,16 @@ class Vc1Decoder(AcDcDecoder):
         self._qp264 = h264_qp_from_mpeg(self._qscale)
 
     def _read_intra_ac(self, reader: BitReader) -> List[int]:
-        return decode_run_level(reader, 64, start=1)
+        return tables.COEFF_CODE.read_block(reader, ZIGZAG_8X8.raster, start=1)
 
     def _read_block(self, reader: BitReader) -> TransformedBlock:
+        read_block = tables.COEFF_CODE.read_block
         size = reader.read_bit() if self._adaptive else tables.TRANSFORM_8X8
         if size == tables.TRANSFORM_8X8:
-            scanned = decode_run_level(reader, 64)
-            return TransformedBlock(size, levels8=unscan8(scanned))
-        levels4 = [unscan4(decode_run_level(reader, 16)) for _ in tables.SUBBLOCK_OFFSETS]
+            block = read_block(reader, ZIGZAG_8X8.raster)
+            return TransformedBlock(size, levels8=np.array(block, dtype=np.int64).reshape(8, 8))
+        levels4 = [np.array(read_block(reader, ZIGZAG_4X4.raster), dtype=np.int64).reshape(4, 4)
+                   for _ in tables.SUBBLOCK_OFFSETS]
         return TransformedBlock(size, levels4=levels4)
 
     def _dequantise_inter(self, block: TransformedBlock) -> np.ndarray:

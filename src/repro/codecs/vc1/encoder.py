@@ -16,9 +16,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.codecs.huffman import encode_run_level, run_level_bits
 from repro.codecs.mpeg4.acdc import AcDcEncoder
 from repro.codecs.vc1 import tables
-from repro.codecs.vc1.coefficients import encode_run_level, run_level_bits
 from repro.codecs.vc1.config import Vc1Config
 from repro.codecs.vc1.transform import TransformedBlock, forward_adaptive, inverse_adaptive
 from repro.common.bitstream import BitWriter
@@ -37,10 +37,10 @@ class Vc1Encoder(AcDcEncoder):
         writer.write_bit(1 if self.config.adaptive_transform else 0)
 
     def _intra_ac_bits(self, scanned: Sequence[int]) -> int:
-        return run_level_bits(scanned, start=1)
+        return run_level_bits(tables.COEFF_CODE, scanned, start=1)
 
     def _write_intra_ac(self, writer: BitWriter, scanned: Sequence[int]) -> None:
-        encode_run_level(writer, scanned, start=1)
+        encode_run_level(writer, tables.COEFF_CODE, scanned, start=1)
 
     # ------------------------------------------------------------------
     # inter residual: the adaptive transform size
@@ -63,7 +63,7 @@ class Vc1Encoder(AcDcEncoder):
         if self.config.adaptive_transform:
             writer.write_bit(block.size)
         if block.size == tables.TRANSFORM_8X8:
-            encode_run_level(writer, scan8(block.levels8))
+            encode_run_level(writer, tables.COEFF_CODE, scan8(block.levels8))
         else:
             for levels in block.levels4:
-                encode_run_level(writer, scan4(levels))
+                encode_run_level(writer, tables.COEFF_CODE, scan4(levels))

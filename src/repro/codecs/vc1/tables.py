@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro.codecs.huffman import VlcTable, geometric
+from repro.codecs.huffman import RunLevelCode, VlcTable, geometric
 
 EOB = "EOB"
 ESCAPE = "ESC"
@@ -36,6 +36,8 @@ def _coefficient_frequencies() -> Dict[object, float]:
 
 
 COEFF_TABLE = VlcTable.from_frequencies(_coefficient_frequencies(), name="vc1-coeff")
+COEFF_CODE = RunLevelCode(COEFF_TABLE, ESCAPE, ESCAPE_RUN_BITS, ESCAPE_LEVEL_BITS,
+                          MAX_RUN, MAX_LEVEL, eob=EOB)
 
 
 def _cbp_frequencies() -> Dict[int, float]:

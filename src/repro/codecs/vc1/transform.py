@@ -15,8 +15,8 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.codecs.huffman import run_level_bits
 from repro.codecs.vc1 import tables
-from repro.codecs.vc1.coefficients import run_level_bits
 from repro.transform.zigzag import scan4, scan8
 
 
@@ -43,7 +43,7 @@ def forward_adaptive(kernels, residual: np.ndarray, qscale: int,
     both, hence omitted).
     """
     levels8 = kernels.quant_h263(kernels.fdct8(residual), qscale, intra=False)
-    bits8 = run_level_bits(scan8(levels8))
+    bits8 = run_level_bits(tables.COEFF_CODE, scan8(levels8))
 
     levels4 = []
     bits4 = 0
@@ -51,7 +51,7 @@ def forward_adaptive(kernels, residual: np.ndarray, qscale: int,
         sub = residual[off_y : off_y + 4, off_x : off_x + 4]
         levels = kernels.quant_h264_4x4(kernels.fwd_transform4(sub), qp264, intra=False)
         levels4.append(levels)
-        bits4 += run_level_bits(scan4(levels))
+        bits4 += run_level_bits(tables.COEFF_CODE, scan4(levels))
 
     if bits4 < bits8:
         return TransformedBlock(tables.TRANSFORM_4X4, levels4=levels4)

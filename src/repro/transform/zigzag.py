@@ -31,17 +31,22 @@ class ScanOrder(tuple):
 
     A tuple of positions that also carries them as row and column index
     arrays, built once, so :func:`scan` and :func:`unscan` move a whole
-    block with one fancy-indexing operation.
+    block with one fancy-indexing operation, and as raster indices
+    (``row * size + column``), so a block reader can place each level
+    where it belongs as it reads it.
     """
 
     rows: np.ndarray
     cols: np.ndarray
+    raster: Tuple[int, ...]
 
     def __new__(cls, positions: Sequence[Tuple[int, int]]) -> "ScanOrder":
         order = super().__new__(cls, (tuple(position) for position in positions))
         order.rows = np.array([i for i, _ in order], dtype=np.intp)
         order.cols = np.array([j for _, j in order], dtype=np.intp)
         order.rows.flags.writeable = order.cols.flags.writeable = False
+        size = 1 + max((max(position) for position in order), default=-1)
+        order.raster = tuple(i * size + j for i, j in order)
         return order
 
 

@@ -19,18 +19,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.codecs.h264.cavlc import _ESCAPE_BITS, _ESCAPE_PREFIX, _read_rice, _write_rice
-from repro.codecs.huffman import LOOKUP_BITS, VlcTable, canonical_codes
+from repro.codecs.huffman import LOOKUP_BITS, VlcTable, canonical_codes, encode_run_level
 from repro.codecs.mpeg2 import Mpeg2Config, Mpeg2Decoder, Mpeg2Encoder
 from repro.codecs.mpeg2 import tables as mpeg2_tables
 from repro.codecs.mpeg4 import Mpeg4Config, Mpeg4Decoder, Mpeg4Encoder
 from repro.codecs.mpeg4 import tables as mpeg4_tables
+from repro.codecs.mpeg4.coefficients import encode_3d
 from repro.codecs.vc1 import Vc1Config, Vc1Decoder, Vc1Encoder
 from repro.codecs.vc1 import tables as vc1_tables
 from repro.codecs.vc1.transform import TransformedBlock
 from repro.common.bitstream import UNARY_WINDOW, BitReader, BitWriter
 from repro.common.expgolomb import read_se, read_ue, write_se, write_ue
 from repro.errors import BitstreamError, TruncationError
-from repro.transform.zigzag import unscan4, unscan8
+from repro.transform.zigzag import ZIGZAG_8X8, scan8, unscan4, unscan8
 
 
 # -- bit-serial references -----------------------------------------------------
@@ -564,3 +565,32 @@ def test_block_reads_match_serial(name, draw):
 def test_block_levels_reach_the_escapes():
     for tables in (mpeg2_tables, mpeg4_tables, vc1_tables):
         assert tables.MAX_RUN < 63 and tables.MAX_LEVEL < 2047
+
+
+#: name -> (block code, encoder-side intra AC coder, bit-serial intra AC read).
+INTRA_CODES = {
+    "mpeg2": (mpeg2_tables.COEFF_CODE,
+              lambda w, scanned: encode_run_level(w, mpeg2_tables.COEFF_CODE, scanned, start=1),
+              lambda r: serial_run_level(mpeg2_tables, r, 64, start=1)),
+    "mpeg4": (mpeg4_tables.COEFF3D_CODE,
+              lambda w, scanned: encode_3d(w, scanned, start=1),
+              lambda r: serial_3d(r, 64, start=1)),
+    "vc1": (vc1_tables.COEFF_CODE,
+            lambda w, scanned: encode_run_level(w, vc1_tables.COEFF_CODE, scanned, start=1),
+            lambda r: serial_run_level(vc1_tables, r, 64, start=1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTRA_CODES))
+@given(st.data())
+def test_intra_block_reads_match_serial(name, draw):
+    code, write, serial = INTRA_CODES[name]
+
+    def encode(draw):
+        count = draw(st.integers(1, 4))
+        return written(write, [scan8(random_levels(draw, 8)) for _ in range(count)])
+
+    data, offset = draw.draw(coded_data(encode))
+    assert_same_reads(data, offset,
+                      lambda r: code.read_block(r, ZIGZAG_8X8.raster, start=1),
+                      lambda r: unscan8(serial(r)).ravel().tolist())

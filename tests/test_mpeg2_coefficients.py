@@ -4,17 +4,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.codecs.mpeg2 import tables
-from repro.codecs.mpeg2.coefficients import decode_run_level, encode_run_level
+from repro.codecs.huffman import encode_run_level
 from repro.common.bitstream import BitReader, BitWriter
 from repro.errors import BitstreamError
 
 
 def roundtrip(scanned, start=0):
     writer = BitWriter()
-    encode_run_level(writer, scanned, start=start)
+    encode_run_level(writer, tables.COEFF_CODE, scanned, start=start)
     writer.align()
     reader = BitReader(writer.to_bytes())
-    return decode_run_level(reader, len(scanned), start=start)
+    return tables.COEFF_CODE.read_block(reader, range(len(scanned)), start=start)
 
 
 class TestTables:
@@ -92,7 +92,7 @@ class TestRunLevel:
         writer.write_signed(5, tables.ESCAPE_LEVEL_BITS)
         writer.align()
         with pytest.raises(BitstreamError):
-            decode_run_level(BitReader(writer.to_bytes()), 16)
+            tables.COEFF_CODE.read_block(BitReader(writer.to_bytes()), range(16))
 
     @given(st.lists(st.integers(-2047, 2047), min_size=64, max_size=64))
     @settings(max_examples=60)

@@ -12,7 +12,7 @@ from repro.codecs.mpeg4.acdc import (
     apply_ac_prediction,
     predict,
 )
-from repro.codecs.mpeg4.coefficients import decode_3d, encode_3d, estimate_3d_bits
+from repro.codecs.mpeg4.coefficients import encode_3d, estimate_3d_bits
 from repro.codecs.mpeg4.motion import MvGrid
 from repro.common.bitstream import BitReader, BitWriter
 from repro.me.types import MotionVector, ZERO_MV
@@ -24,7 +24,8 @@ def roundtrip_3d(scanned, start=0):
     if not coded:
         return None
     writer.align()
-    return decode_3d(BitReader(writer.to_bytes()), len(scanned), start=start)
+    return tables.COEFF3D_CODE.read_block(BitReader(writer.to_bytes()), range(len(scanned)),
+                                          start=start)
 
 
 class TestCoefficients3D:
@@ -49,8 +50,8 @@ class TestCoefficients3D:
         encode_3d(writer, second)
         writer.align()
         reader = BitReader(writer.to_bytes())
-        assert decode_3d(reader, 64) == first
-        assert decode_3d(reader, 64) == second
+        assert tables.COEFF3D_CODE.read_block(reader, range(64)) == first
+        assert tables.COEFF3D_CODE.read_block(reader, range(64)) == second
 
     def test_escape_paths(self):
         scanned = [0] * 64

@@ -5,13 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.codecs import get_decoder, get_encoder
+from repro.codecs.huffman import encode_run_level, run_level_bits
 from repro.codecs.vc1 import Vc1Config, Vc1Decoder, Vc1Encoder
 from repro.codecs.vc1 import tables
-from repro.codecs.vc1.coefficients import (
-    decode_run_level,
-    encode_run_level,
-    run_level_bits,
-)
 from repro.codecs.vc1.transform import (
     TransformedBlock,
     forward_adaptive,
@@ -28,9 +24,10 @@ KERNELS = get_kernels("simd")
 class TestCoefficients:
     def roundtrip(self, scanned, start=0):
         writer = BitWriter()
-        encode_run_level(writer, scanned, start=start)
+        encode_run_level(writer, tables.COEFF_CODE, scanned, start=start)
         writer.align()
-        return decode_run_level(BitReader(writer.to_bytes()), len(scanned), start=start)
+        return tables.COEFF_CODE.read_block(BitReader(writer.to_bytes()), range(len(scanned)),
+                                            start=start)
 
     def test_both_block_sizes(self):
         for size in (16, 64):
@@ -41,8 +38,8 @@ class TestCoefficients:
     def test_bits_estimate_matches(self):
         scanned = [5, 0, -1, 0, 0, 2] + [0] * 58
         writer = BitWriter()
-        encode_run_level(writer, scanned)
-        assert len(writer) == run_level_bits(scanned)
+        encode_run_level(writer, tables.COEFF_CODE, scanned)
+        assert len(writer) == run_level_bits(tables.COEFF_CODE, scanned)
 
     @given(st.lists(st.integers(-2000, 2000), min_size=16, max_size=16))
     @settings(max_examples=40)
