@@ -1,6 +1,8 @@
 """``hdvb-observe``: query and gate the benchmark history store.
 
     hdvb-observe record results.json [...]   # ingest --json bench documents
+    hdvb-observe record result.json --axes workload=W,seed=N,trace=T
+                                             # ingest a perfbench/run.py result
     hdvb-observe compare [--runs A,B]        # per-axis metric deltas
     hdvb-observe trend --bench performance --metric fps
     hdvb-observe gate [--format human|json]  # regression detector (CI gate)
@@ -22,7 +24,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.reporters import render_human, render_json
 from repro.bench.report import render_table
@@ -36,7 +38,7 @@ from repro.observe.gate import (
     render_slo_table,
     slo_document,
 )
-from repro.observe.record import records_from_document
+from repro.observe.record import PERFBENCH_AXES, RunInfo, record_from_perfbench, records_from_document
 from repro.observe.store import (
     DEFAULT_STORE_DIR,
     HistoryStore,
@@ -65,6 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="repro.observe.records/1 documents ('-' = stdin)")
     rec.add_argument("--run-id", default="",
                      help="override the run id of every ingested record")
+    rec.add_argument("--axes", default="", metavar="KEY=VALUE,...",
+                     help="axes of perfbench/run.py results, which name none: "
+                          + ", ".join(PERFBENCH_AXES))
     _add_store_argument(rec)
 
     cmp_parser = sub.add_parser("compare", help="metric deltas between two runs")
@@ -185,8 +190,20 @@ def _require_history(store: HistoryStore) -> None:
         )
 
 
+def _parse_axes(raw: str) -> Dict[str, str]:
+    axes: Dict[str, str] = {}
+    for token in (part.strip() for part in raw.split(",")):
+        key, equals, value = token.partition("=")
+        if token and (not equals or not key or not value or key in axes):
+            raise ObserveError(f"--axes wants distinct key=value pairs, got {token!r}")
+        if token:
+            axes[key] = value
+    return axes
+
+
 def _cmd_record(options: argparse.Namespace) -> int:
     store = HistoryStore(options.store)
+    axes = _parse_axes(options.axes)
     total = 0
     for name in options.files:
         if name == "-":
@@ -201,10 +218,17 @@ def _cmd_record(options: argparse.Namespace) -> int:
             document = json.loads(payload)
         except ValueError as error:
             raise ObserveError(f"{name}: not JSON: {error}") from error
-        records = records_from_document(document)
-        if options.run_id:
-            records = [replace(record, run_id=options.run_id)
-                       for record in records]
+        if isinstance(document, dict) and "schema" not in document:
+            # A perfbench/run.py result: no schema, no run identity.
+            info = RunInfo.capture(run_id=options.run_id)
+            records = [record_from_perfbench(document, axes, info)]
+        else:
+            if axes:
+                raise ObserveError(f"{name}: --axes applies to perfbench results only")
+            records = records_from_document(document)
+            if options.run_id:
+                records = [replace(record, run_id=options.run_id)
+                           for record in records]
         total += store.append_many(records)
     print(f"hdvb-observe: appended {total} record(s) to {store.path}",
           file=sys.stderr)

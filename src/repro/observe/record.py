@@ -40,8 +40,12 @@ KNOWN_BENCHES = (
     "performance", "ratedistortion", "robustness", "streaming", "serve",
     "orchestrate", "orchestrate_run", "orchestrate_scaling",
     "speedups", "bdrate", "characterize",
-    "table1", "table2", "table3", "table4",
+    "table1", "table2", "table3", "table4", "perfbench",
 )
+
+#: Axes of a ``perfbench`` record.  ``perfbench/run.py`` prints no identity
+#: of its own, so ``hdvb-observe record --axes`` supplies them.
+PERFBENCH_AXES = ("workload", "seed", "trace")
 
 _SCALAR_TYPES = (str, int, float, bool)
 
@@ -350,6 +354,29 @@ def records_from_speedups(operation: str, speedups: Mapping[str, float],
                metrics={"simd_speedup": value})
         for codec, value in sorted(speedups.items())
     ]
+
+
+def record_from_perfbench(result: Mapping[str, Any], axes: Mapping[str, Any],
+                          info: RunInfo) -> BenchRecord:
+    """One ``perfbench`` record from a ``perfbench/run.py`` result, the last
+    line of its stdout: each ``metrics[*].value``, plus ``attempted`` and
+    ``failed``."""
+    missing = [key for key in PERFBENCH_AXES if key not in axes]
+    if missing:
+        raise ObserveError(f"a perfbench result needs the axes {', '.join(missing)}")
+    values = result.get("metrics")
+    if not isinstance(values, Mapping):
+        raise ObserveError("perfbench result has no 'metrics' mapping")
+    metrics: Dict[str, Any] = {}
+    for name, entry in values.items():
+        if not isinstance(entry, Mapping) or "value" not in entry:
+            raise ObserveError(f"perfbench metric {name!r} has no value")
+        metrics[name] = entry["value"]
+    for count in ("attempted", "failed"):
+        if count not in result:
+            raise ObserveError(f"perfbench result has no {count!r} count")
+        metrics[count] = result[count]
+    return _build(info, "perfbench", axes=dict(axes), metrics=metrics)
 
 
 def records_from_table(bench: str, headers: Sequence[str],

@@ -35,6 +35,12 @@ from repro.observe.record import (
 from repro.telemetry import MetricsRegistry, MetricsSnapshot
 
 
+#: A perfbench/run.py result line, trimmed to two metrics.
+PERFBENCH_RESULT = {"correct": True, "attempted": 69, "failed": 0, "metrics": {
+    "fps": {"value": 33.0, "unit": "frames/s"},
+    "peak_rss_mb": {"value": 72.7, "unit": "MB"}}}
+
+
 def record(run="run-000", bench="performance", fps=100.0, created=1000.0,
            **axes):
     axes = axes or {"codec": "mpeg2", "backend": "simd"}
@@ -536,6 +542,51 @@ class TestObserveCli:
         assert observe_main(["record", "--store", str(store_dir),
                              "--run-id", "rY", str(path)]) == 0
         assert HistoryStore(store_dir).run_ids() == ["rX", "rY"]
+
+    def test_record_ingests_perfbench_results(self, tmp_path, capsys):
+        # The last stdout line of perfbench/run.py, as it prints it.
+        path = tmp_path / "result.json"
+        path.write_text(json.dumps(PERFBENCH_RESULT) + "\n")
+        store_dir = tmp_path / "hist"
+        for run, fps in (("parent", 33.0), ("change", 44.0)):
+            result = json.loads(path.read_text())
+            result["metrics"]["fps"]["value"] = fps
+            path.write_text(json.dumps(result))
+            assert observe_main(["record", "--store", str(store_dir), "--run-id", run,
+                                 "--axes", "workload=mpeg-decode,seed=1,trace=0",
+                                 str(path)]) == 0
+        records = HistoryStore(store_dir).query(bench="perfbench")
+        assert [record.run_id for record in records] == ["parent", "change"]
+        assert records[0].axes == {"workload": "mpeg-decode", "seed": "1", "trace": "0"}
+        assert records[0].metrics == {"fps": 33.0, "peak_rss_mb": 72.7,
+                                      "attempted": 69, "failed": 0}
+        capsys.readouterr()
+        assert observe_main(["compare", "--store", str(store_dir),
+                             "--runs", "parent,change", "--bench", "perfbench"]) == 0
+        out = capsys.readouterr().out
+        assert "seed=1|trace=0|workload=mpeg-decode" in out and "+33.3%" in out
+
+    @pytest.mark.parametrize("result, axes, message", [
+        ({"attempted": 1, "failed": 0}, "workload=w,seed=1,trace=0", "no 'metrics'"),
+        ({"attempted": 1, "failed": 0, "metrics": {"fps": 3.0}},
+         "workload=w,seed=1,trace=0", "has no value"),
+        ({"failed": 0, "metrics": {}}, "workload=w,seed=1,trace=0", "'attempted'"),
+        ({"attempted": 1, "failed": 0, "metrics": {"fps": {"value": "fast"}}},
+         "workload=w,seed=1,trace=0", "numeric"),
+        (PERFBENCH_RESULT, "workload=w,seed=1", "trace"),
+        (PERFBENCH_RESULT, "workload=w,seed=1,seed=2,trace=0", "key=value"),
+        (PERFBENCH_RESULT, "workload", "key=value"),
+        (records_document([record(run="rX")]), "workload=w,seed=1,trace=0",
+         "perfbench results only"),
+    ])
+    def test_record_rejects_malformed_perfbench_results(self, tmp_path, capsys,
+                                                        result, axes, message):
+        path = tmp_path / "result.json"
+        path.write_text(json.dumps(result))
+        assert observe_main(["record", "--store", str(tmp_path / "h"),
+                             "--axes", axes, str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not HistoryStore(tmp_path / "h").exists()
 
     def test_record_rejects_non_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
