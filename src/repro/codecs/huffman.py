@@ -6,6 +6,10 @@ copying the ISO code tables verbatim, each codec declares a *prior*
 (expected symbol frequencies) and builds a canonical Huffman code from it
 at import time; see the bitstream note in DESIGN.md.  The construction is
 fully deterministic, so encoder and decoder always agree.
+
+:class:`RunLevelCode` is a coefficient table with its escape layout: the
+block reader of the MPEG-2, MPEG-4 and VC-1 decoders, and the code the
+MPEG-2 and VC-1 block coders write.
 """
 
 from __future__ import annotations

@@ -38,7 +38,12 @@ from repro.observe.gate import (
     render_slo_table,
     slo_document,
 )
-from repro.observe.record import PERFBENCH_AXES, RunInfo, record_from_perfbench, records_from_document
+from repro.observe.record import (
+    PERFBENCH_AXES,
+    RunInfo,
+    record_from_perfbench,
+    records_from_document,
+)
 from repro.observe.store import (
     DEFAULT_STORE_DIR,
     HistoryStore,
@@ -192,12 +197,11 @@ def _require_history(store: HistoryStore) -> None:
 
 def _parse_axes(raw: str) -> Dict[str, str]:
     axes: Dict[str, str] = {}
-    for token in (part.strip() for part in raw.split(",")):
+    for token in filter(None, (part.strip() for part in raw.split(","))):
         key, equals, value = token.partition("=")
-        if token and (not equals or not key or not value or key in axes):
+        if not (equals and key and value) or key in axes:
             raise ObserveError(f"--axes wants distinct key=value pairs, got {token!r}")
-        if token:
-            axes[key] = value
+        axes[key] = value
     return axes
 
 
