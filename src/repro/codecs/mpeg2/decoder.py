@@ -17,7 +17,7 @@ from repro.common.bitstream import BitReader
 from repro.common.expgolomb import read_se
 from repro.common.gop import FrameType
 from repro.kernels.tables import MPEG_INTER_MATRIX, MPEG_INTRA_MATRIX
-from repro.transform.zigzag import ZIGZAG_8X8
+from repro.transform.zigzag import ZIGZAG_8X8, raster_block
 
 
 class Mpeg2Decoder(HybridDecoder):
@@ -42,13 +42,12 @@ class Mpeg2Decoder(HybridDecoder):
             self._dc_pred[plane] = dc
             block = tables.COEFF_CODE.read_block(reader, ZIGZAG_8X8.raster, start=1)
             block[0] = dc
-            levels = np.array(block, dtype=np.int64).reshape(8, 8)
+            levels = raster_block(block, 8)
             coeffs = kernels.dequant_mpeg(levels, MPEG_INTRA_MATRIX, self._qscale, intra=True)
             recon.store_block(plane, x, y, intra_block(kernels, coeffs))
 
     def _read_block(self, reader: BitReader) -> np.ndarray:
-        block = tables.COEFF_CODE.read_block(reader, ZIGZAG_8X8.raster)
-        return np.array(block, dtype=np.int64).reshape(8, 8)
+        return raster_block(tables.COEFF_CODE.read_block(reader, ZIGZAG_8X8.raster), 8)
 
     def _dequantise_inter(self, levels: np.ndarray) -> np.ndarray:
         kernels = self.kernels

@@ -39,7 +39,7 @@ from repro.common.bitstream import BitReader, BitWriter
 from repro.common.expgolomb import read_se, write_se
 from repro.common.gop import FrameType
 from repro.me.types import MotionVector
-from repro.transform.zigzag import scan8
+from repro.transform.zigzag import raster_block, scan8
 
 VERTICAL = "vertical"
 HORIZONTAL = "horizontal"
@@ -204,7 +204,7 @@ class AcDcDecoder(HybridDecoder):
             direction, pred_dc, pred_ac = predict(self._acdc[plane], bx, by)
             dc = pred_dc + read_se(reader)
             if cbp & cbp_bit(block_index):
-                levels = np.array(self._read_intra_ac(reader), dtype=np.int64).reshape(8, 8)
+                levels = raster_block(self._read_intra_ac(reader), 8)
             else:
                 levels = np.zeros((8, 8), dtype=np.int64)
             if use_prediction:

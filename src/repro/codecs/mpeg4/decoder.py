@@ -12,7 +12,7 @@ from repro.codecs.mpeg4 import tables
 from repro.codecs.mpeg4.acdc import AcDcDecoder
 from repro.codecs.mpeg4.prediction import predict_mb_4mv
 from repro.common.bitstream import BitReader
-from repro.transform.zigzag import ZIGZAG_8X8
+from repro.transform.zigzag import ZIGZAG_8X8, raster_block
 
 
 class Mpeg4Decoder(AcDcDecoder):
@@ -29,8 +29,7 @@ class Mpeg4Decoder(AcDcDecoder):
         return tables.COEFF3D_CODE.read_block(reader, ZIGZAG_8X8.raster, start=1)
 
     def _read_block(self, reader: BitReader) -> np.ndarray:
-        block = tables.COEFF3D_CODE.read_block(reader, ZIGZAG_8X8.raster)
-        return np.array(block, dtype=np.int64).reshape(8, 8)
+        return raster_block(tables.COEFF3D_CODE.read_block(reader, ZIGZAG_8X8.raster), 8)
 
     def _dequantise_inter(self, levels: np.ndarray) -> np.ndarray:
         kernels = self.kernels

@@ -11,7 +11,7 @@ from repro.codecs.vc1 import tables
 from repro.codecs.vc1.transform import TransformedBlock, inverse_adaptive
 from repro.common.bitstream import BitReader
 from repro.transform.qp import h264_qp_from_mpeg
-from repro.transform.zigzag import ZIGZAG_4X4, ZIGZAG_8X8
+from repro.transform.zigzag import ZIGZAG_4X4, ZIGZAG_8X8, raster_block
 
 
 class Vc1Decoder(AcDcDecoder):
@@ -32,9 +32,9 @@ class Vc1Decoder(AcDcDecoder):
         read_block = tables.COEFF_CODE.read_block
         size = reader.read_bit() if self._adaptive else tables.TRANSFORM_8X8
         if size == tables.TRANSFORM_8X8:
-            block = read_block(reader, ZIGZAG_8X8.raster)
-            return TransformedBlock(size, levels8=np.array(block, dtype=np.int64).reshape(8, 8))
-        levels4 = [np.array(read_block(reader, ZIGZAG_4X4.raster), dtype=np.int64).reshape(4, 4)
+            levels8 = raster_block(read_block(reader, ZIGZAG_8X8.raster), 8)
+            return TransformedBlock(size, levels8=levels8)
+        levels4 = [raster_block(read_block(reader, ZIGZAG_4X4.raster), 4)
                    for _ in tables.SUBBLOCK_OFFSETS]
         return TransformedBlock(size, levels4=levels4)
 

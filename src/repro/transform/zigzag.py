@@ -75,6 +75,13 @@ def unscan(values: Sequence[int], order: Sequence[Tuple[int, int]], size: int) -
     return block
 
 
+def raster_block(levels: Sequence[int], size: int) -> np.ndarray:
+    """The ``size`` x ``size`` int64 block of raster-ordered ``levels``, such
+    as a block reader returns after placing each level through
+    :attr:`ScanOrder.raster`."""
+    return np.array(levels, dtype=np.int64).reshape(size, size)
+
+
 def scan8(block: np.ndarray) -> List[int]:
     return scan(block, ZIGZAG_8X8)
 

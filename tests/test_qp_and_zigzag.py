@@ -15,6 +15,7 @@ from repro.transform.zigzag import (
     ZIGZAG_2X2,
     ZIGZAG_4X4,
     ZIGZAG_8X8,
+    raster_block,
     scan,
     scan4,
     scan8,
@@ -131,3 +132,8 @@ class TestZigzag:
             assert scanned == loop_scan(block, order)
             assert all(type(value) is int for value in scanned)
             assert np.array_equal(unscan(values, positions, size), loop_unscan(values, order, size))
+        # A block reader places scan position i at raster index order.raster[i].
+        placed = [0] * (size * size)
+        for value, index in zip(values, order.raster):
+            placed[index] = value
+        assert np.array_equal(raster_block(placed, size), loop_unscan(values, order, size))
