@@ -18,7 +18,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.codecs.h264.cavlc import _ESCAPE_BITS, _ESCAPE_PREFIX, _read_rice, _write_rice
+from repro.codecs.h264.cavlc import (
+    _ESCAPE_BITS,
+    _ESCAPE_PREFIX,
+    CavlcCoder,
+    _read_rice,
+    _rice_param_from_nc,
+    _write_rice,
+)
 from repro.codecs.huffman import LOOKUP_BITS, VlcTable, canonical_codes, encode_run_level
 from repro.codecs.mpeg2 import Mpeg2Config, Mpeg2Decoder, Mpeg2Encoder
 from repro.codecs.mpeg2 import tables as mpeg2_tables
@@ -31,7 +38,7 @@ from repro.codecs.vc1.transform import TransformedBlock
 from repro.common.bitstream import UNARY_WINDOW, BitReader, BitWriter
 from repro.common.expgolomb import read_se, read_ue, write_se, write_ue
 from repro.errors import BitstreamError, TruncationError
-from repro.transform.zigzag import ZIGZAG_8X8, scan8, unscan4, unscan8
+from repro.transform.zigzag import ZIGZAG_2X2, ZIGZAG_4X4, ZIGZAG_8X8, scan8, unscan4, unscan8
 
 
 # -- bit-serial references -----------------------------------------------------
@@ -239,6 +246,57 @@ def serial_read_rice(reader, k):
         return (_ESCAPE_PREFIX << k) + reader.read_bits(_ESCAPE_BITS)
     remainder = reader.read_bits(k) if k else 0
     return (quotient << k) | remainder
+
+
+def serial_read_truncated(reader, maximum):
+    """Truncated binary over 0..maximum: a short code, then one more bit if needed."""
+    if maximum == 0:
+        return 0
+    length = maximum.bit_length()
+    unused = (1 << length) - maximum - 1
+    value = reader.read_bits(length - 1)
+    if value < unused:
+        return value
+    return ((value << 1) | reader.read_bit()) - unused
+
+
+def serial_cavlc_block(reader, n, nc):
+    """A CAVLC block of ``n`` scan positions, in scan order, and its TotalCoeff."""
+    total_coeff = serial_read_rice(reader, _rice_param_from_nc(nc))
+    if total_coeff > n:
+        raise BitstreamError(f"TotalCoeff {total_coeff} exceeds block size {n}")
+    scanned = [0] * n
+    if total_coeff == 0:
+        return scanned, 0
+    trailing = reader.read_bits(2)
+    if trailing > total_coeff:
+        raise BitstreamError("TrailingOnes exceeds TotalCoeff")
+    levels_reverse = [-1 if reader.read_bit() else 1 for _ in range(trailing)]
+    suffix_length = 1 if total_coeff > 10 and trailing < 3 else 0
+    for position in range(total_coeff - trailing):
+        level_code = serial_read_rice(reader, suffix_length)
+        if position == 0 and trailing < 3:
+            level_code += 2
+        magnitude = (level_code >> 1) + 1
+        value = -magnitude if level_code & 1 else magnitude
+        levels_reverse.append(value)
+        if suffix_length == 0:
+            suffix_length = 1
+        if abs(value) > (3 << (suffix_length - 1)) and suffix_length < 6:
+            suffix_length += 1
+    total_zeros = serial_read_truncated(reader, n - total_coeff) if total_coeff < n else 0
+    index = total_coeff + total_zeros - 1
+    zeros_left = total_zeros
+    for position, value in enumerate(levels_reverse):
+        if index < 0:
+            raise BitstreamError("coefficient placement underflow")
+        scanned[index] = value
+        if position == total_coeff - 1:
+            break
+        run_before = serial_read_truncated(reader, zeros_left) if zeros_left > 0 else 0
+        zeros_left -= run_before
+        index -= run_before + 1
+    return scanned, total_coeff
 
 
 # -- harness -------------------------------------------------------------------
@@ -594,3 +652,69 @@ def test_intra_block_reads_match_serial(name, draw):
     assert_same_reads(data, offset,
                       lambda r: code.read_block(r, ZIGZAG_8X8.raster, start=1),
                       lambda r: unscan8(serial(r)).ravel().tolist())
+
+
+# -- CAVLC blocks ----------------------------------------------------------------
+#
+# The H.264 decoder's CAVLC block read against the bit-serial walk of the same
+# block, placed through the scan's raster indices.  Blocks are written by
+# ``encode_block`` at every nC.  Levels up to 3000 in magnitude give level
+# codes past ``15 << 6``, so every suffix length reaches its escape, and full
+# blocks of 15 or 16 coefficients take the coeff_token escape at nC < 2.
+
+CAVLC = CavlcCoder()
+
+#: Block kind -> (raster index of each scan position, first coded position).
+CAVLC_BLOCKS = {
+    "luma-16": (ZIGZAG_4X4.raster, 0),
+    "ac-15": (ZIGZAG_4X4.raster, 1),
+    "chroma-dc-4": (ZIGZAG_2X2.raster, 0),
+}
+
+CAVLC_LEVELS = st.one_of(st.integers(-3, 3), st.integers(-3000, 3000))
+
+
+def placed(block, raster, start):
+    """A scan-order block read, (levels, TotalCoeff), with each level moved to
+    ``raster[start + index]``."""
+    scanned, total_coeff = block
+    levels = [0] * len(raster)
+    for index, value in enumerate(scanned):
+        levels[raster[start + index]] = value
+    return levels, total_coeff
+
+
+def read_cavlc_block(reader, raster, nc, start=0):
+    """The decoder's CAVLC block read: raster-order levels and TotalCoeff."""
+    return placed(CAVLC.decode_block(reader, len(raster) - start, nc), raster, start)
+
+
+def random_scanned(draw, n):
+    """``n`` scan-order levels: a random few non-zero, or all of them."""
+    if draw(st.booleans()):
+        return draw(st.lists(CAVLC_LEVELS.filter(bool), min_size=n, max_size=n))
+    scanned = [0] * n
+    for index, value in draw(st.dictionaries(st.integers(0, n - 1), CAVLC_LEVELS,
+                                             max_size=n)).items():
+        scanned[index] = value
+    return scanned
+
+
+def test_cavlc_levels_reach_the_escapes():
+    assert 2 * (3000 - 1) >= _ESCAPE_PREFIX << 6
+    assert 15 >> _rice_param_from_nc(1) >= _ESCAPE_PREFIX
+
+
+@pytest.mark.parametrize("kind", sorted(CAVLC_BLOCKS))
+@given(st.integers(0, 16), st.data())
+def test_cavlc_block_reads_match_serial(kind, nc, draw):
+    raster, start = CAVLC_BLOCKS[kind]
+    n = len(raster) - start
+
+    def encode(draw):
+        blocks = [random_scanned(draw, n) for _ in range(draw(st.integers(1, 4)))]
+        return written(lambda w, scanned: CAVLC.encode_block(w, scanned, nc), blocks)
+
+    data, offset = draw.draw(coded_data(encode))
+    assert_same_reads(data, offset, lambda r: read_cavlc_block(r, raster, nc, start),
+                      lambda r: placed(serial_cavlc_block(r, n, nc), raster, start))
