@@ -67,7 +67,8 @@ def _read_rice(reader: BitReader, k: int) -> int:
 
 
 def _truncated_binary_bits(maximum: int) -> Tuple[int, int]:
-    """(short_len, threshold) for truncated binary over 0..maximum."""
+    """(length, unused) of the truncated binary code over 0..maximum: a value
+    below ``unused`` takes ``length - 1`` bits, any other ``length``."""
     n = maximum + 1
     length = (n - 1).bit_length()
     unused = (1 << length) - n
@@ -85,6 +86,12 @@ def _write_truncated(writer: BitWriter, value: int, maximum: int) -> None:
         writer.write_bits(value + unused, length)
 
 
+#: ``_truncated_binary_bits`` by maximum, for every maximum a block codes (0..16).
+_TRUNCATED: Tuple[Tuple[int, int], ...] = tuple(
+    _truncated_binary_bits(maximum) for maximum in range(17)
+)
+
+
 def _read_truncated(reader: BitReader, maximum: int) -> int:
     if maximum == 0:
         return 0
@@ -94,6 +101,27 @@ def _read_truncated(reader: BitReader, maximum: int) -> int:
         return value
     value = (value << 1) | reader.read_bit()
     return value - unused
+
+
+#: Bits of the window a field may need: the longest, a Rice code with its
+#: escape, is 15 zeros, a 1 and 16 bits.
+_WINDOW_AHEAD = _ESCAPE_PREFIX + 1 + _ESCAPE_BITS
+
+#: Trailing ones by count and sign bits: +-1 each, in the order read (a set
+#: bit is negative).
+_TRAILING_ONES: Tuple[Tuple[Tuple[int, ...], ...], ...] = tuple(
+    tuple(tuple(-1 if (signs >> shift) & 1 else 1 for shift in range(count - 1, -1, -1))
+          for signs in range(1 << count))
+    for count in range(MAX_TRAILING_ONES + 1)
+)
+
+
+def _window(data: bytes, pos: int) -> Tuple[int, int]:
+    """The 64-bit window over the 8 bytes from byte ``pos >> 3``, zero-filled
+    past the end of ``data``, and the bit position just past it."""
+    first = pos >> 3
+    chunk = data[first:first + 8]
+    return int.from_bytes(chunk, "big") << ((8 - len(chunk)) << 3), (first << 3) + 64
 
 
 class CavlcCoder:
@@ -159,57 +187,142 @@ class CavlcCoder:
                 break
         return total_coeff
 
-    def decode_block(self, reader: BitReader, n: int, nc: int) -> Tuple[List[int], int]:
-        """Decode a block of ``n`` scan positions; returns (scanned, TC)."""
-        k = _rice_param_from_nc(nc)
-        total_coeff = _read_rice(reader, k)
-        if total_coeff > n:
-            raise BitstreamError(f"TotalCoeff {total_coeff} exceeds block size {n}")
-        scanned = [0] * n
-        if total_coeff == 0:
-            return scanned, 0
-        trailing = reader.read_bits(2)
-        if trailing > total_coeff:
-            raise BitstreamError("TrailingOnes exceeds TotalCoeff")
+    def decode_block(self, reader: BitReader, raster: Sequence[int], nc: int,
+                     start: int = 0) -> Tuple[List[int], int]:
+        """Read one block coded from scan position ``start``; return its levels
+        in raster order and its TotalCoeff.
 
-        # Levels in reverse scan order: trailing ones first.
-        levels_reverse: List[int] = []
-        for _ in range(trailing):
-            levels_reverse.append(-1 if reader.read_bit() else 1)
+        ``raster[i]`` is the raster index of scan position ``i`` and
+        ``len(raster)`` the block's size, so ``len(raster) - start`` positions
+        are coded; the identity order ``range(n)`` returns scan order.  The
+        reader's data, its position and a 64-bit window over the data are
+        held in local variables, and the position is written back before
+        every return and raise.  A field the window cannot decide (a Rice
+        prefix of 15 or more zeros, or a field that may cross the end of the
+        data) goes to that field's reader, so a failed read stops where
+        reading field by field stops (docs/BITSTREAM.md, "CAVLC blocks").
+        """
+        levels = [0] * len(raster)
+        n = len(raster) - start
+        data = reader._data
+        pos = reader._pos
+        end = reader._end
+        window, top = _window(data, pos)
+        escape = _ESCAPE_PREFIX
+        truncated = _TRUNCATED
+
+        # coeff_token: a Rice prefix is the window's leading-zero count.
+        k = _rice_param_from_nc(nc)
+        avail = top - pos
+        zeros = avail - (window & ((1 << avail) - 1)).bit_length()
+        if zeros < escape and pos + zeros + 1 + k <= end:
+            pos += zeros + 1 + k
+            total_coeff = (zeros << k) | ((window >> (top - pos)) & ((1 << k) - 1))
+        else:
+            reader._pos = pos
+            total_coeff = _read_rice(reader, k)
+            pos = reader._pos
+        if total_coeff > n:
+            reader._pos = pos
+            raise BitstreamError(f"TotalCoeff {total_coeff} exceeds block size {n}")
+        if total_coeff == 0:
+            reader._pos = pos
+            return levels, 0
+
+        # TrailingOnes, then one sign bit per trailing one.
+        if top - pos < _WINDOW_AHEAD:
+            window, top = _window(data, pos)
+        if pos + 2 <= end:
+            pos += 2
+            trailing = (window >> (top - pos)) & 3
+        else:
+            reader._pos = pos
+            trailing = reader.read_bits(2)
+        if trailing > total_coeff:
+            reader._pos = pos
+            raise BitstreamError("TrailingOnes exceeds TotalCoeff")
+        if pos + trailing <= end:
+            pos += trailing
+            signs = (window >> (top - pos)) & ((1 << trailing) - 1)
+        else:
+            reader._pos = pos
+            signs = 0
+            for _ in range(trailing):
+                signs = (signs << 1) | reader.read_bit()
+        levels_reverse = list(_TRAILING_ONES[trailing][signs])
+
+        # Remaining levels, reverse scan order, adaptive suffix length.
         suffix_length = 1 if total_coeff > 10 and trailing < 3 else 0
-        for position in range(total_coeff - trailing):
-            level_code = _read_rice(reader, suffix_length)
-            if position == 0 and trailing < MAX_TRAILING_ONES:
-                level_code += 2
+        bump = 2 if trailing < MAX_TRAILING_ONES else 0
+        for _ in range(total_coeff - trailing):
+            if top - pos < _WINDOW_AHEAD:
+                window, top = _window(data, pos)
+            avail = top - pos
+            zeros = avail - (window & ((1 << avail) - 1)).bit_length()
+            if zeros < escape and pos + zeros + 1 + suffix_length <= end:
+                pos += zeros + 1 + suffix_length
+                level_code = (zeros << suffix_length) | (
+                    (window >> (top - pos)) & ((1 << suffix_length) - 1))
+            else:
+                reader._pos = pos
+                level_code = _read_rice(reader, suffix_length)
+                pos = reader._pos
+            # The first non-T1 level is known to exceed 1 in magnitude.
+            level_code += bump
+            bump = 0
             magnitude = (level_code >> 1) + 1
-            value = -magnitude if level_code & 1 else magnitude
-            levels_reverse.append(value)
+            levels_reverse.append(-magnitude if level_code & 1 else magnitude)
             if suffix_length == 0:
                 suffix_length = 1
-            if abs(value) > (3 << (suffix_length - 1)) and suffix_length < 6:
+            if magnitude > (3 << (suffix_length - 1)) and suffix_length < 6:
                 suffix_length += 1
 
+        # total_zeros, then run_before between the levels: truncated binary
+        # codes, each level placed as its run is read.
+        total_zeros = 0
         if total_coeff < n:
-            total_zeros = _read_truncated(reader, n - total_coeff)
-        else:
-            total_zeros = 0
-
-        # Place coefficients: walk backwards from the last position.
-        index = total_coeff + total_zeros - 1
-        zeros_left = total_zeros
-        for position, value in enumerate(levels_reverse):
-            if index < 0:
-                raise BitstreamError("coefficient placement underflow")
-            scanned[index] = value
-            if position == total_coeff - 1:
-                break
-            if zeros_left > 0:
-                run_before = _read_truncated(reader, zeros_left)
+            if top - pos < _WINDOW_AHEAD:
+                window, top = _window(data, pos)
+            length, unused = truncated[n - total_coeff]
+            if pos + length <= end:
+                code = (window >> (top - pos - length)) & ((1 << length) - 1)
+                if code >> 1 < unused:
+                    total_zeros = code >> 1
+                    pos += length - 1
+                else:
+                    total_zeros = code - unused
+                    pos += length
             else:
-                run_before = 0
-            zeros_left -= run_before
-            index -= run_before + 1
-        return scanned, total_coeff
+                reader._pos = pos
+                total_zeros = _read_truncated(reader, n - total_coeff)
+                pos = reader._pos
+        index = start + total_coeff + total_zeros - 1
+        zeros_left = total_zeros
+        for value in levels_reverse[:-1]:
+            levels[raster[index]] = value
+            if zeros_left:
+                if top - pos < _WINDOW_AHEAD:
+                    window, top = _window(data, pos)
+                length, unused = truncated[zeros_left]
+                if pos + length <= end:
+                    code = (window >> (top - pos - length)) & ((1 << length) - 1)
+                    if code >> 1 < unused:
+                        run_before = code >> 1
+                        pos += length - 1
+                    else:
+                        run_before = code - unused
+                        pos += length
+                else:
+                    reader._pos = pos
+                    run_before = _read_truncated(reader, zeros_left)
+                    pos = reader._pos
+                zeros_left -= run_before
+                index -= run_before + 1
+            else:
+                index -= 1
+        levels[raster[index]] = levels_reverse[-1]
+        reader._pos = pos
+        return levels, total_coeff
 
 
 def nc_context(left_tc, top_tc) -> int:

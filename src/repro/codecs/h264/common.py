@@ -11,7 +11,7 @@ the decoder parses and checks.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -187,8 +187,9 @@ class MacroblockLayer:
         self.recon.store_block("y", x, y, pixels)
 
     def reconstruct_luma(self, mbx: int, mby: int, prediction: np.ndarray,
-                         coded: Dict[int, np.ndarray]) -> None:
-        """Rebuild inter luma from ``coded``, block index -> nonzero levels.
+                         coded: Mapping[int, Union[np.ndarray, Sequence[int]]]) -> None:
+        """Rebuild inter luma from ``coded``, block index -> nonzero levels (a
+        4x4 array, or the 16 levels in raster order).
 
         The coded blocks' cells are marked nonzero for the deblocking
         filter; ``mark_inter`` has cleared the macroblock's cells already.
@@ -199,7 +200,9 @@ class MacroblockLayer:
         if coded:
             residual = np.zeros((16, 4, 4), dtype=np.int64)
             residual[list(coded)] = kernels.inv_transform4(
-                kernels.dequant_h264_4x4(np.stack(list(coded.values())), self.qp)
+                kernels.dequant_h264_4x4(
+                    np.array(list(coded.values()), dtype=np.int64).reshape(-1, 4, 4), self.qp
+                )
             )
             pixels = kernels.add_clip(prediction, blocks_to_square(residual))
             for block_index in coded:

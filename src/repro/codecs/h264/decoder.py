@@ -27,7 +27,12 @@ from repro.robustness.guard import (
     check_motion_vector,
     read_frame_type,
 )
-from repro.transform.zigzag import ZIGZAG_2X2, unscan, unscan4
+from repro.transform.zigzag import ZIGZAG_2X2, ZIGZAG_4X4, raster_block
+
+
+def _stack(blocks: List[List[int]]) -> np.ndarray:
+    """The ``(n, 4, 4)`` int64 stack of ``n`` raster-order 4x4 level lists."""
+    return np.array(blocks, dtype=np.int64).reshape(-1, 4, 4)
 
 
 class H264Decoder(VideoDecoder):
@@ -118,11 +123,12 @@ class H264Decoder(VideoDecoder):
             prediction = intra.predict_luma4(
                 layer.recon.y, x, y, intra.LUMA4_MODES[mode_index]
             )
-            scanned, total_coeff = self.cavlc.decode_block(
-                reader, 16, layer.tc_luma.nc(bx, by)
+            levels, total_coeff = self.cavlc.decode_block(
+                reader, ZIGZAG_4X4.raster, layer.tc_luma.nc(bx, by)
             )
             layer.tc_luma.set(bx, by, total_coeff)
-            layer.reconstruct_luma4(x, y, prediction, unscan4(scanned) if total_coeff else None)
+            layer.reconstruct_luma4(x, y, prediction,
+                                    raster_block(levels, 4) if total_coeff else None)
         layer.meta.mark_intra_mb(mbx, mby)
         self._decode_intra_chroma(reader, mbx, mby)
 
@@ -134,20 +140,20 @@ class H264Decoder(VideoDecoder):
         has_ac = bool(reader.read_bit())
 
         nc_dc = layer.tc_luma.nc(4 * mbx, 4 * mby)
-        dc_scanned, _ = self.cavlc.decode_block(reader, 16, nc_dc)
+        dc_levels, _ = self.cavlc.decode_block(reader, ZIGZAG_4X4.raster, nc_dc)
 
         ac_levels = []
         for off_x, off_y in common.LUMA_OFFSETS:
             bx, by = (x0 + off_x) // 4, (y0 + off_y) // 4
             total_coeff = 0
             if has_ac:
-                scanned, total_coeff = self.cavlc.decode_block(
-                    reader, 15, layer.tc_luma.nc(bx, by)
+                levels, total_coeff = self.cavlc.decode_block(
+                    reader, ZIGZAG_4X4.raster, layer.tc_luma.nc(bx, by), start=1
                 )
-                ac_levels.append(unscan4([0] + scanned))
+                ac_levels.append(levels)
             layer.tc_luma.set(bx, by, total_coeff)
-        layer.reconstruct_i16(mbx, mby, prediction, unscan4(dc_scanned),
-                              ac_levels if has_ac else None)
+        layer.reconstruct_i16(mbx, mby, prediction, raster_block(dc_levels, 4),
+                              _stack(ac_levels) if has_ac else None)
         layer.meta.mark_intra_mb(mbx, mby)
         self._decode_intra_chroma(reader, mbx, mby)
 
@@ -175,20 +181,23 @@ class H264Decoder(VideoDecoder):
         dc_levels: Dict[str, np.ndarray] = {}
         if cbp >= 1:
             for plane in ("u", "v"):
-                scanned, _ = self.cavlc.decode_block(reader, 4, 0)
-                dc_levels[plane] = unscan(scanned, ZIGZAG_2X2, 2)
-        ac_levels: Dict[str, List[np.ndarray]] = {"u": [], "v": []}
+                levels, _ = self.cavlc.decode_block(reader, ZIGZAG_2X2.raster, 0)
+                dc_levels[plane] = raster_block(levels, 2)
+        ac_levels: Dict[str, np.ndarray] = {}
         for plane in ("u", "v"):
             grid = layer.tc_chroma[plane]
+            blocks = []
             for off_x, off_y in common.CHROMA_OFFSETS:
                 bx, by = (x0 + off_x) // 4, (y0 + off_y) // 4
                 total_coeff = 0
                 if cbp == 2:
-                    scanned, total_coeff = self.cavlc.decode_block(
-                        reader, 15, grid.nc(bx, by)
+                    levels, total_coeff = self.cavlc.decode_block(
+                        reader, ZIGZAG_4X4.raster, grid.nc(bx, by), start=1
                     )
-                    ac_levels[plane].append(unscan4([0] + scanned))
+                    blocks.append(levels)
                 grid.set(bx, by, total_coeff)
+            if cbp == 2:
+                ac_levels[plane] = _stack(blocks)
         layer.reconstruct_chroma(mbx, mby, prediction, cbp, dc_levels, ac_levels)
 
     # ------------------------------------------------------------------
@@ -208,16 +217,16 @@ class H264Decoder(VideoDecoder):
         layer = self._layer
         x0, y0 = 16 * mbx, 16 * mby
         cbp = reader.read_bits(4)
-        coded: Dict[int, np.ndarray] = {}
+        coded: Dict[int, List[int]] = {}
         for block_index, (off_x, off_y) in enumerate(common.LUMA_OFFSETS):
             bx, by = (x0 + off_x) // 4, (y0 + off_y) // 4
             total_coeff = 0
             if cbp & (1 << common.luma_quadrant(block_index)):
-                scanned, total_coeff = self.cavlc.decode_block(
-                    reader, 16, layer.tc_luma.nc(bx, by)
+                levels, total_coeff = self.cavlc.decode_block(
+                    reader, ZIGZAG_4X4.raster, layer.tc_luma.nc(bx, by)
                 )
                 if total_coeff:
-                    coded[block_index] = unscan4(scanned)
+                    coded[block_index] = levels
             layer.tc_luma.set(bx, by, total_coeff)
         layer.reconstruct_luma(mbx, mby, prediction, coded)
 

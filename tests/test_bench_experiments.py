@@ -4,6 +4,7 @@ These check the *shape* assertions of DESIGN.md section 5 end to end:
 bitrate ordering, quality band, fps ordering, SIMD speed-ups.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,13 @@ def tiny_config():
         sequences=("rush_hour",),
         tier_names=("576p25",),
     )
+
+
+@pytest.fixture(scope="module")
+def speedup_config(tiny_config):
+    """``tiny_config`` timed as the median of five runs after one warm-up run:
+    a single wall-clock run can lose a speed-up to one scheduling hiccup."""
+    return dataclasses.replace(tiny_config, runs=5, warmup=1)
 
 
 @pytest.fixture(scope="module")
@@ -114,9 +122,9 @@ class TestFigure1:
         assert "Figure 1(b)" in text
         assert "real-time" in text
 
-    def test_simd_speedups_positive(self, tiny_config):
-        scalar_rows = run_performance(tiny_config, "decode", "scalar")
-        speedups = simd_speedups(scalar_rows, run_performance(tiny_config, "decode", "simd"))
+    def test_simd_speedups_positive(self, speedup_config):
+        scalar_rows = run_performance(speedup_config, "decode", "scalar")
+        speedups = simd_speedups(scalar_rows, run_performance(speedup_config, "decode", "simd"))
         assert set(speedups) == {"mpeg2", "mpeg4", "h264"}
         # SIMD is faster for every codec (Figure 1a vs 1b).
         assert all(value > 1.0 for value in speedups.values())

@@ -686,7 +686,7 @@ def placed(block, raster, start):
 
 def read_cavlc_block(reader, raster, nc, start=0):
     """The decoder's CAVLC block read: raster-order levels and TotalCoeff."""
-    return placed(CAVLC.decode_block(reader, len(raster) - start, nc), raster, start)
+    return CAVLC.decode_block(reader, raster, nc, start)
 
 
 def random_scanned(draw, n):

@@ -13,7 +13,7 @@ def roundtrip(scanned, nc=0):
     writer = BitWriter()
     tc_encoded = CODER.encode_block(writer, scanned, nc)
     writer.align()
-    decoded, tc_decoded = CODER.decode_block(BitReader(writer.to_bytes()), len(scanned), nc)
+    decoded, tc_decoded = CODER.decode_block(BitReader(writer.to_bytes()), range(len(scanned)), nc)
     assert tc_encoded == tc_decoded
     return decoded
 
@@ -129,5 +129,5 @@ class TestBlocks:
         writer.align()
         reader = BitReader(writer.to_bytes())
         for scanned in blocks:
-            decoded, _ = CODER.decode_block(reader, 16, 2)
+            decoded, _ = CODER.decode_block(reader, range(16), 2)
             assert decoded == scanned
