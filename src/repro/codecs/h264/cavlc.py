@@ -238,6 +238,7 @@ class CavlcCoder:
         else:
             reader._pos = pos
             trailing = reader.read_bits(2)
+            pos = reader._pos
         if trailing > total_coeff:
             reader._pos = pos
             raise BitstreamError("TrailingOnes exceeds TotalCoeff")
@@ -249,6 +250,7 @@ class CavlcCoder:
             signs = 0
             for _ in range(trailing):
                 signs = (signs << 1) | reader.read_bit()
+            pos = reader._pos
         levels_reverse = list(_TRAILING_ONES[trailing][signs])
 
         # Remaining levels, reverse scan order, adaptive suffix length.
