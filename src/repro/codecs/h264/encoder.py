@@ -32,9 +32,94 @@ from repro.me.cost import MotionCost, lambda_from_qp
 from repro.me.search import run_search
 from repro.me.subpel import refine_subpel
 from repro.me.types import MotionVector, SearchResult, div_to_zero
-from repro.transform.zigzag import ZIGZAG_2X2, scan, scan4, unscan4
+from repro.transform.zigzag import ZIGZAG_2X2, scan, scan4
 
 INTRA_BIAS = 96
+
+#: A stand-in cost for an Intra 4x4 estimate candidate whose neighbour is
+#: outside the picture; every block keeps its DC candidate, so it never wins.
+_UNAVAILABLE = 1 << 40
+
+
+# ----------------------------------------------------------------------
+# intra mode decisions: one stacked prediction and one ``sad`` call each;
+# the first minimum in candidate order wins
+# ----------------------------------------------------------------------
+
+
+def best_i4_mode(kernels, recon: WorkingFrame, source: WorkingFrame, x: int, y: int,
+                 mpm: int, lagrangian: int) -> Tuple[str, int, np.ndarray]:
+    """(mode, cost, prediction) of the Intra 4x4 block at (x, y): cost =
+    SAD + lagrangian * (1 if the mode is the most probable ``mpm``, else 3)."""
+    stack = intra.predict_luma4_stack(recon.y, x, y)
+    sads = kernels.sad(source.y[y : y + 4, x : x + 4], stack)
+    modes = intra.available_luma4_modes(y > 0, x > 0)
+    costs = [
+        cost + lagrangian * (1 if intra.LUMA4_MODES.index(mode) == mpm else 3)
+        for cost, mode in zip(sads, modes)
+    ]
+    best = costs.index(min(costs))
+    return modes[best], costs[best], stack[best]
+
+
+def estimate_i4_cost(kernels, source: WorkingFrame, mbx: int, mby: int,
+                     lagrangian: int) -> int:
+    """Cheap Intra 4x4 cost proxy of a macroblock: per block, the best SAD of
+    its V, H and DC candidates, plus 20 lagrangians of mode bits.
+
+    A full Intra 4x4 evaluation needs sequential reconstruction; this
+    estimate predicts every block from the *source* neighbourhood instead,
+    which is close enough for the I4-vs-I16 decision.  The 16 blocks' 48
+    candidates are scored in one paired ``sad`` call; V has no candidate on
+    the picture's top row, H none on its left column.
+    """
+    x0, y0 = 16 * mbx, 16 * mby
+    luma = source.y
+    blocks = common.square_to_blocks(luma[y0 : y0 + 16, x0 : x0 + 16])
+    # The source row above each block row and column left of each block
+    # column (row / column 0 stands in where the picture has none).
+    above = luma[[max(y0 - 1, 0), y0 + 3, y0 + 7, y0 + 11], x0 : x0 + 16]
+    beside = luma[y0 : y0 + 16, [max(x0 - 1, 0), x0 + 3, x0 + 7, x0 + 11]]
+    candidates = np.empty((3, 16, 4, 4), dtype=np.int64)
+    candidates[0] = above.reshape(16, 1, 4)
+    candidates[1] = beside.reshape(4, 4, 4).swapaxes(1, 2).reshape(16, 4, 1)
+    candidates[2] = (blocks.sum(axis=(1, 2)) >> 4).reshape(16, 1, 1)
+    sads = kernels.sad(np.concatenate((blocks, blocks, blocks)), candidates.reshape(48, 4, 4))
+    costs = np.array(sads, dtype=np.int64).reshape(3, 16)
+    if y0 == 0:
+        costs[0, :4] = _UNAVAILABLE
+    if x0 == 0:
+        costs[1, ::4] = _UNAVAILABLE
+    return 20 * lagrangian + int(costs.min(axis=0).sum())
+
+
+def best_i16_mode(kernels, recon: WorkingFrame, source: WorkingFrame,
+                  mbx: int, mby: int) -> Tuple[str, int, np.ndarray]:
+    """(mode, SAD, prediction) of the best Intra16x16 luma mode."""
+    x, y = 16 * mbx, 16 * mby
+    stack = intra.predict_block_stack(recon.y, x, y, 16)
+    costs = kernels.sad(source.y[y : y + 16, x : x + 16], stack)
+    best = costs.index(min(costs))
+    return intra.available_block_modes(y > 0, x > 0)[best], costs[best], stack[best]
+
+
+def best_chroma_mode(kernels, recon: WorkingFrame, source: WorkingFrame,
+                     mbx: int, mby: int) -> Tuple[str, int, np.ndarray]:
+    """(mode, SAD(U) + SAD(V), prediction) of the best intra chroma mode.
+
+    U and V sit side by side: the prediction is ``(8, 16)``, U on the left.
+    """
+    x, y = 8 * mbx, 8 * mby
+    current = np.concatenate(
+        (source.u[y : y + 8, x : x + 8], source.v[y : y + 8, x : x + 8]), axis=1
+    )
+    stack = np.concatenate(
+        (intra.predict_block_stack(recon.u, x, y, 8), intra.predict_block_stack(recon.v, x, y, 8)),
+        axis=2,
+    )
+    costs = kernels.sad(current, stack)
+    best = costs.index(min(costs))
+    return intra.available_block_modes(y > 0, x > 0)[best], costs[best], stack[best]
 
 
 def _int_mv(mv: MotionVector) -> MotionVector:
@@ -151,48 +236,21 @@ class H264Encoder(VideoEncoder):
 
     def _encode_i_mb(self, writer: BitWriter, source: WorkingFrame,
                      mbx: int, mby: int) -> None:
-        """Choose I4x4 vs I16x16 and code the macroblock (I pictures)."""
-        i16_mode, i16_cost = self._best_i16_mode(source, mbx, mby)
-        i4_cost_estimate = self._estimate_i4_cost(source, mbx, mby)
-        if i4_cost_estimate < i16_cost:
-            write_ue(writer, common.I_4X4)
+        """Code a macroblock of an I picture."""
+        i16 = best_i16_mode(self.kernels, self._layer.recon, source, mbx, mby)
+        self._encode_intra_mb(writer, source, mbx, mby, i16, (common.I_4X4, common.I_16X16))
+
+    def _encode_intra_mb(self, writer: BitWriter, source: WorkingFrame, mbx: int, mby: int,
+                         i16: Tuple[str, int, np.ndarray], mb_types: Tuple[int, int]) -> None:
+        """Choose I4x4 vs I16x16, given the Intra16x16 decision ``i16``, and
+        code the macroblock with ``mb_types`` (I4x4 code, I16x16 code)."""
+        i16_mode, i16_cost, i16_prediction = i16
+        if estimate_i4_cost(self.kernels, source, mbx, mby, self.lagrangian) < i16_cost:
+            write_ue(writer, mb_types[0])
             self._code_i4_mb(writer, source, mbx, mby)
         else:
-            write_ue(writer, common.I_16X16)
-            self._code_i16_mb(writer, source, mbx, mby, i16_mode)
-
-    def _best_i16_mode(self, source: WorkingFrame, mbx: int, mby: int) -> Tuple[str, int]:
-        x, y = 16 * mbx, 16 * mby
-        current = source.y[y : y + 16, x : x + 16]
-        best_mode, best_cost = "DC", None
-        for mode in intra.available_block_modes(y > 0, x > 0):
-            prediction = intra.predict_block(self._layer.recon.y, x, y, 16, mode)
-            cost = self.kernels.sad(current, prediction)
-            if best_cost is None or cost < best_cost:
-                best_mode, best_cost = mode, cost
-        return best_mode, best_cost
-
-    def _estimate_i4_cost(self, source: WorkingFrame, mbx: int, mby: int) -> int:
-        """Cheap I4 cost proxy: per-block best-of-DC/V/H SAD plus mode bits.
-
-        A full I4 evaluation needs sequential reconstruction; this estimate
-        predicts every block from the *source* neighbourhood instead, which
-        is close enough for the I4-vs-I16 decision.
-        """
-        total = 4 * self.lagrangian  # mode signalling overhead
-        x0, y0 = 16 * mbx, 16 * mby
-        for off_x, off_y in common.LUMA_OFFSETS:
-            x, y = x0 + off_x, y0 + off_y
-            block = source.y[y : y + 4, x : x + 4]
-            candidates = []
-            if y > 0:
-                candidates.append(np.tile(source.y[y - 1, x : x + 4], (4, 1)))
-            if x > 0:
-                candidates.append(np.tile(source.y[y : y + 4, x - 1].reshape(4, 1), (1, 4)))
-            candidates.append(np.full((4, 4), int(np.mean(block)), dtype=np.int64))
-            total += min(self.kernels.sad(block, cand) for cand in candidates)
-            total += self.lagrangian  # ~1-3 bits of mode per block
-        return total
+            write_ue(writer, mb_types[1])
+            self._code_i16_mb(writer, source, mbx, mby, i16_mode, i16_prediction)
 
     def _code_i4_mb(self, writer: BitWriter, source: WorkingFrame,
                     mbx: int, mby: int) -> None:
@@ -204,17 +262,10 @@ class H264Encoder(VideoEncoder):
         for off_x, off_y in common.LUMA_OFFSETS:
             x, y = x0 + off_x, y0 + off_y
             bx, by = x // 4, y // 4
-            modes = intra.available_luma4_modes(y > 0, x > 0)
-            best_mode, best_pred, best_cost = None, None, None
             mpm = common.intra4_mpm(layer.intra4_modes, bx, by)
-            for mode in modes:
-                prediction = intra.predict_luma4(layer.recon.y, x, y, mode)
-                mode_index = intra.LUMA4_MODES.index(mode)
-                bits = 1 if mode_index == mpm else 3
-                cost = kernels.sad(source.y[y : y + 4, x : x + 4], prediction)
-                cost += self.lagrangian * bits
-                if best_cost is None or cost < best_cost:
-                    best_mode, best_pred, best_cost = mode, prediction, cost
+            best_mode, _, best_pred = best_i4_mode(
+                kernels, layer.recon, source, x, y, mpm, self.lagrangian
+            )
             mode_index = intra.LUMA4_MODES.index(best_mode)
             if mode_index == mpm:
                 writer.write_bit(1)
@@ -234,13 +285,12 @@ class H264Encoder(VideoEncoder):
         self.stats.intra_macroblocks += 1
 
     def _code_i16_mb(self, writer: BitWriter, source: WorkingFrame,
-                     mbx: int, mby: int, mode: str) -> None:
+                     mbx: int, mby: int, mode: str, prediction: np.ndarray) -> None:
         kernels = self.kernels
         layer = self._layer
         qp = self.config.qp
         x0, y0 = 16 * mbx, 16 * mby
         write_ue(writer, intra.BLOCK_MODES.index(mode))
-        prediction = intra.predict_block(layer.recon.y, x0, y0, 16, mode)
         residual = kernels.sub(source.y[y0 : y0 + 16, x0 : x0 + 16], prediction)
         coeffs = kernels.fwd_transform4(common.square_to_blocks(residual))
         ac_levels = kernels.quant_h264_4x4(coeffs, qp, intra=True)
@@ -268,17 +318,9 @@ class H264Encoder(VideoEncoder):
 
     def _code_intra_chroma(self, writer: BitWriter, source: WorkingFrame,
                            mbx: int, mby: int) -> None:
-        x, y = 8 * mbx, 8 * mby
-        best_mode, best_cost, best_pred = None, None, None
-        for mode in intra.available_block_modes(y > 0, x > 0):
-            pred_u = intra.predict_block(self._layer.recon.u, x, y, 8, mode)
-            pred_v = intra.predict_block(self._layer.recon.v, x, y, 8, mode)
-            cost = self.kernels.sad(source.u[y : y + 8, x : x + 8], pred_u)
-            cost += self.kernels.sad(source.v[y : y + 8, x : x + 8], pred_v)
-            if best_cost is None or cost < best_cost:
-                best_mode, best_cost, best_pred = mode, cost, (pred_u, pred_v)
-        write_ue(writer, intra.BLOCK_MODES.index(best_mode))
-        prediction = dict(zip(("u", "v"), best_pred))
+        mode, _, both = best_chroma_mode(self.kernels, self._layer.recon, source, mbx, mby)
+        write_ue(writer, intra.BLOCK_MODES.index(mode))
+        prediction = {"u": both[:, :8], "v": both[:, 8:]}
         prep = self._prepare_chroma(source, prediction, mbx, mby, intra_mb=True)
         self._code_chroma(writer, prep, prediction, mbx, mby)
 
@@ -454,9 +496,9 @@ class H264Encoder(VideoEncoder):
             )
         best_shape = min(shape_costs, key=shape_costs.get)
 
-        intra_cost = self._quick_intra_cost(source, mbx, mby)
-        if intra_cost < shape_costs[best_shape]:
-            self._encode_intra_in_inter(writer, source, mbx, mby, is_b=False)
+        i16 = best_i16_mode(self.kernels, layer.recon, source, mbx, mby)
+        if i16[1] + INTRA_BIAS + self.lagrangian * 8 < shape_costs[best_shape]:
+            self._encode_intra_mb(writer, source, mbx, mby, i16, (common.P_I4, common.P_I16))
             return
 
         rects = PARTITION_SHAPES[best_shape]
@@ -496,22 +538,6 @@ class H264Encoder(VideoEncoder):
         self._code_chroma(writer, chroma_prep, prediction, mbx, mby)
         self.stats.inter_macroblocks += 1
 
-    def _quick_intra_cost(self, source: WorkingFrame, mbx: int, mby: int) -> int:
-        _, cost = self._best_i16_mode(source, mbx, mby)
-        return cost + INTRA_BIAS + self.lagrangian * 8
-
-    def _encode_intra_in_inter(self, writer: BitWriter, source: WorkingFrame,
-                               mbx: int, mby: int, is_b: bool) -> None:
-        """Code an intra MB inside a P/B picture (mode + payload)."""
-        i16_mode, i16_cost = self._best_i16_mode(source, mbx, mby)
-        i4_cost = self._estimate_i4_cost(source, mbx, mby)
-        if i4_cost < i16_cost:
-            write_ue(writer, common.B_I4 if is_b else common.P_I4)
-            self._code_i4_mb(writer, source, mbx, mby)
-        else:
-            write_ue(writer, common.B_I16 if is_b else common.P_I16)
-            self._code_i16_mb(writer, source, mbx, mby, i16_mode)
-
     # ------------------------------------------------------------------
     # B macroblocks
     # ------------------------------------------------------------------
@@ -542,8 +568,9 @@ class H264Encoder(VideoEncoder):
         mode_costs = {"fwd": fwd.cost, "bwd": bwd.cost, "bi": bi_cost}
         mode = min(mode_costs, key=mode_costs.get)
 
-        if self._quick_intra_cost(source, mbx, mby) < mode_costs[mode]:
-            self._encode_intra_in_inter(writer, source, mbx, mby, is_b=True)
+        i16 = best_i16_mode(kernels, layer.recon, source, mbx, mby)
+        if i16[1] + INTRA_BIAS + self.lagrangian * 8 < mode_costs[mode]:
+            self._encode_intra_mb(writer, source, mbx, mby, i16, (common.B_I4, common.B_I16))
             return
 
         if mode == "fwd":

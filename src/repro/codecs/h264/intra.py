@@ -11,11 +11,17 @@ diagonal-down-left mode is always padded by replicating the last top
 sample (the spec does this only when the top-right block is unavailable).
 Both encoder and decoder share these functions, so prediction is always
 consistent.
+
+:func:`predict_luma4` and :func:`predict_block` predict one mode; the
+decoder uses them.  :func:`predict_luma4_stack` and
+:func:`predict_block_stack` predict every available mode of a block at once,
+from one read of its neighbours, for the encoder's mode decisions; they
+equal the per-mode predictors mode by mode.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -28,6 +34,26 @@ BLOCK_MODES: Tuple[str, ...] = ("V", "H", "DC", "PLANE")
 
 #: Mode index used as the "most probable" default (DC), as in the spec.
 DC_MODE_INDEX = LUMA4_MODES.index("DC")
+
+# The neighbour vector of predict_luma4_stack: the 3-tap support
+# ``l3 l2 l1 l0 corner t0 t1 t2 t3`` followed by t3 five more times (14
+# values), its 12 filtered taps (tap m filters support m..m+2: taps 0..6 are
+# the diagonal-down-right values, taps 5..11 the diagonal-down-left ones,
+# whose replicated top-right and (3, 3) sample all filter to t3), then DC.
+_TAPS = 14
+_DC = _TAPS + 12
+_ROWS, _COLS = np.mgrid[0:4, 0:4]
+_LUMA4_INDEX = {
+    "V": 5 + _COLS,
+    "H": 3 - _ROWS,
+    "DC": np.full((4, 4), _DC),
+    "DDL": _TAPS + 5 + _ROWS + _COLS,
+    "DDR": _TAPS + 3 + _COLS - _ROWS,
+}
+#: Plane-mode sample offsets from the block centre, per block size: along a
+#: row, and down a column.
+_PLANE_X = {size: np.arange(size, dtype=np.int64) - (size // 2 - 1) for size in (8, 16)}
+_PLANE_Y = {size: offsets[:, None] for size, offsets in _PLANE_X.items()}
 
 
 def available_luma4_modes(has_top: bool, has_left: bool) -> List[str]:
@@ -53,6 +79,41 @@ def available_block_modes(has_top: bool, has_left: bool) -> List[str]:
     if has_top and has_left:
         modes.append("PLANE")
     return modes
+
+
+#: Per (has_top, has_left): the ``(n, 4, 4)`` positions in the neighbour
+#: vector of every available mode, in :func:`available_luma4_modes` order.
+_LUMA4_LAYOUTS: Dict[Tuple[bool, bool], np.ndarray] = {
+    (has_top, has_left): np.stack(
+        [_LUMA4_INDEX[mode] for mode in available_luma4_modes(has_top, has_left)]
+    )
+    for has_top in (False, True)
+    for has_left in (False, True)
+}
+
+
+def predict_luma4_stack(plane: np.ndarray, x: int, y: int) -> np.ndarray:
+    """Every available Intra_4x4 prediction of the block at (x, y), as one
+    ``(n, 4, 4)`` stack in :func:`available_luma4_modes` order.
+
+    The neighbours are read once into a small vector (see ``_TAPS``), and
+    the stack is one gather from it.
+    """
+    has_top, has_left = y > 0, x > 0
+    top = plane[y - 1, x : x + 4].tolist() if has_top else [0, 0, 0, 0]
+    left = plane[y : y + 4, x - 1].tolist() if has_left else [0, 0, 0, 0]
+    corner = 0
+    if has_top and has_left:
+        corner = int(plane[y - 1, x - 1])
+        dc = (sum(top) + sum(left) + 4) >> 3
+    elif has_top or has_left:
+        dc = (sum(top) + sum(left) + 2) >> 2
+    else:
+        dc = 128
+    support = left[::-1] + [corner] + top + [top[3]] * 5
+    taps = [(a + 2 * b + c + 2) >> 2 for a, b, c in zip(support, support[1:], support[2:])]
+    values = np.array(support + taps + [dc], dtype=np.int64)
+    return values[_LUMA4_LAYOUTS[has_top, has_left]]
 
 
 def _top_row(plane: np.ndarray, x: int, y: int, count: int) -> np.ndarray:
@@ -165,3 +226,54 @@ def _predict_plane(plane: np.ndarray, x: int, y: int, size: int) -> np.ndarray:
     ys, xs = np.mgrid[0:size, 0:size].astype(np.int64)
     values = (a + b * (xs - (half - 1)) + c * (ys - (half - 1)) + 16) >> 5
     return np.clip(values, 0, 255)
+
+
+def predict_block_stack(plane: np.ndarray, x: int, y: int, size: int) -> np.ndarray:
+    """Every available Intra_16x16 (size=16) or chroma (size=8) prediction
+    of the block at (x, y), as one ``(n, size, size)`` stack in
+    :func:`available_block_modes` order.
+
+    The row above and the column to the left are read once each, and each
+    mode is broadcast from them.
+    """
+    has_top, has_left = y > 0, x > 0
+    both = has_top and has_left
+    out = np.empty((1 + has_top + has_left + both, size, size), dtype=np.int64)
+    # With both neighbours the corner leads the row and the column, so
+    # top[k] and left[k] are the samples k - 1 along each line.
+    if has_top:
+        row = plane[y - 1, x - both : x + size]
+        top = row.tolist()
+    if has_left:
+        col = plane[y - both : y + size, x - 1]
+        left = col.tolist()
+    if both:
+        out[0] = (sum(top) + sum(left) - 2 * top[0] + size) // (2 * size)
+    elif has_top:
+        out[0] = (sum(top) + size // 2) // size
+    elif has_left:
+        out[0] = (sum(left) + size // 2) // size
+    else:
+        out[0] = 128
+    index = 1
+    if has_top:
+        out[index] = row[both:]
+        index += 1
+    if has_left:
+        out[index] = col[both:, None]
+        index += 1
+    if both:
+        # The gradients weigh the sample pairs 1..size/2 out from the middle.
+        half = size // 2
+        grad_h = grad_v = 0
+        for weight in range(1, half + 1):
+            grad_h += weight * (top[half + weight] - top[half - weight])
+            grad_v += weight * (left[half + weight] - left[half - weight])
+        if size == 16:
+            b, c = (5 * grad_h + 32) >> 6, (5 * grad_v + 32) >> 6
+        else:
+            b, c = (17 * grad_h + 16) >> 5, (17 * grad_v + 16) >> 5
+        values = (b * _PLANE_X[size] + 16 * (left[size] + top[size]) + 16) + c * _PLANE_Y[size]
+        values >>= 5
+        np.minimum(np.maximum(values, 0, out=values), 255, out=out[index])
+    return out

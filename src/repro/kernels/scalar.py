@@ -110,8 +110,14 @@ class ScalarKernels:
         """Sum of absolute differences between two equal-shape blocks.
 
         ``b`` may be an ``(n, h, w)`` stack of candidates for ``a``: the
-        result is then the list of their n sums.
+        result is then the list of their n sums.  ``a`` may be an
+        ``(n, h, w)`` stack too, paired block for block with ``b``: the
+        result is then the list of the n sums of ``a[i]`` against ``b[i]``.
         """
+        if np.ndim(a) == 3:
+            if np.ndim(b) != 3 or len(a) != len(b):
+                raise ValueError(f"sad pairs a stack of {len(a)} blocks with {np.shape(b)}")
+            return [self.sad(block_a, block_b) for block_a, block_b in zip(a, b)]
         if np.ndim(b) == 3:
             return [self.sad(a, block) for block in b]
         la, lb = _to_list(a), _to_list(b)

@@ -50,8 +50,12 @@ class SimdKernels:
     # ------------------------------------------------------------------
 
     def sad(self, a, b):
-        # ``b`` is one block or an (n, h, w) stack of candidates for ``a``.
-        diff = np.abs(_i64(a) - _i64(b))
+        # ``b`` is one block or an (n, h, w) stack of candidates for ``a``;
+        # a stack ``a`` pairs with a stack ``b`` of the same length.
+        a, b = _i64(a), _i64(b)
+        if a.ndim == 3 and (b.ndim != 3 or len(a) != len(b)):
+            raise ValueError(f"sad pairs a stack of {len(a)} blocks with {b.shape}")
+        diff = np.abs(a - b)
         if diff.ndim == 3:
             return diff.sum(axis=(1, 2)).tolist()
         return int(diff.sum())

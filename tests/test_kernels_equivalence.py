@@ -5,6 +5,7 @@ This is the invariant the whole scalar-vs-SIMD benchmark axis rests on
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -236,8 +237,18 @@ def candidate_stacks(draw):
     return samples[0], samples[1:]
 
 
+@st.composite
+def paired_stacks(draw):
+    """Two ``(n, size, size)`` stacks of the same length, n = 1..48."""
+    size = draw(st.sampled_from((4, 8, 16)))
+    count = draw(st.integers(1, 48))
+    samples = draw(arrays(np.int64, (2, count, size, size), elements=st.integers(0, 255)))
+    return samples[0], samples[1]
+
+
 class TestStackedSad:
-    """``sad`` of a block against a stack is the list of its per-candidate sums."""
+    """``sad`` of a block against a stack is the list of its per-candidate
+    sums; of a stack against a stack, the list of its per-pair sums."""
 
     @given(candidate_stacks())
     def test_sad_stack(self, case):
@@ -249,6 +260,27 @@ class TestStackedSad:
             assert all(type(value) is int for value in stacked)
             results.append(stacked)
         assert results[0] == results[1]
+
+    @given(paired_stacks())
+    def test_sad_pairs(self, case):
+        first, second = case
+        results = []
+        for kernels in (SCALAR, SIMD):
+            paired = kernels.sad(first, second)
+            assert paired == [kernels.sad(a, b) for a, b in zip(first, second)]
+            assert all(type(value) is int for value in paired)
+            results.append(paired)
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("kernels", (SCALAR, SIMD), ids=lambda kernels: kernels.name)
+    @pytest.mark.parametrize("lengths", ((1, 3), (3, 1), (2, 3)))
+    def test_sad_pairs_of_unequal_length_raise(self, kernels, lengths):
+        first = np.zeros((lengths[0], 4, 4), dtype=np.int64)
+        second = np.ones((lengths[1], 4, 4), dtype=np.int64)
+        with pytest.raises(ValueError):
+            kernels.sad(first, second)
+        with pytest.raises(ValueError):
+            kernels.sad(first, second[0])
 
 
 class TestMotionCompensation:
